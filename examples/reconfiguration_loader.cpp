@@ -12,7 +12,7 @@
 
 #include "deflate/encoder.hpp"
 #include "hw/pipeline.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/bitstream_gen.hpp"
 
 int main() {
@@ -33,7 +33,7 @@ int main() {
     // block because that is what the hardware decoder accepts).
     core::MatchParams p;
     p.window_bits = 12;
-    core::SoftwareEncoder enc(p.with_level(9));
+    core::MatchFinderEncoder enc(p.with_level(9));
     const auto tokens = enc.encode(bitstream);
     const auto stored = deflate::deflate_fixed(tokens);
 

@@ -6,7 +6,7 @@
 #include "common/checksum.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 
 namespace lzss::deflate {
 namespace {
@@ -62,14 +62,14 @@ std::vector<std::uint8_t> zlib_wrap_tokens(std::span<const core::Token> tokens,
 
 std::vector<std::uint8_t> zlib_compress(std::span<const std::uint8_t> data,
                                         const core::MatchParams& params, BlockKind kind) {
-  core::SoftwareEncoder enc(params);
+  core::MatchFinderEncoder enc(params);
   const auto tokens = enc.encode(data);
   return zlib_wrap_tokens(tokens, data, params.window_bits, kind);
 }
 
 std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> data,
                                         const core::MatchParams& params, BlockKind kind) {
-  core::SoftwareEncoder enc(params);
+  core::MatchFinderEncoder enc(params);
   const auto tokens = enc.encode(data);
   return gzip_wrap(encode_tokens(tokens, kind), checksum::crc32(data),
                    static_cast<std::uint32_t>(data.size()));

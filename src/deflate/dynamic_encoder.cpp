@@ -68,7 +68,7 @@ void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens
       lit_freq[t.literal_byte()]++;
     } else {
       lit_freq[length_code(t.length()).symbol]++;
-      dist_freq[distance_code(t.distance()).symbol]++;
+      dist_freq[checked_distance_code(t.distance()).symbol]++;
     }
   }
   lit_freq[kEndOfBlock] = 1;

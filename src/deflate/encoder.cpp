@@ -17,7 +17,7 @@ void write_token(bits::BitWriter& w, const CanonicalCode& lit, const CanonicalCo
   const LengthCode lc = length_code(t.length());
   w.put_huffman(lit.code[lc.symbol], lit.bits[lc.symbol]);
   if (lc.extra_bits != 0) w.put_bits(lc.extra_value, lc.extra_bits);
-  const DistanceCode dc = distance_code(t.distance());
+  const DistanceCode dc = checked_distance_code(t.distance());
   w.put_huffman(dist.code[dc.symbol], dist.bits[dc.symbol]);
   if (dc.extra_bits != 0) w.put_bits(dc.extra_value, dc.extra_bits);
 }

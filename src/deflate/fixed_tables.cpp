@@ -1,6 +1,8 @@
 #include "deflate/fixed_tables.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace lzss::deflate {
 namespace {
@@ -72,11 +74,18 @@ LengthCode length_code(std::uint32_t length) noexcept {
 }
 
 DistanceCode distance_code(std::uint32_t distance) noexcept {
-  assert(distance >= 1 && distance <= 32768);
+  assert(distance >= 1 && distance <= kMaxDistance);
   unsigned i = 0;
   while (i + 1 < 30 && kDistBase[i + 1] <= distance) ++i;
   return DistanceCode{static_cast<std::uint8_t>(i), kDistExtra[i],
                       static_cast<std::uint16_t>(distance - kDistBase[i])};
+}
+
+DistanceCode checked_distance_code(std::uint32_t distance) {
+  if (distance > kMaxDistance)
+    throw std::invalid_argument("deflate: match distance " + std::to_string(distance) +
+                                " is beyond Deflate's 32768");
+  return distance_code(distance);
 }
 
 std::uint32_t length_base(unsigned symbol) noexcept {

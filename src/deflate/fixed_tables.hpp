@@ -16,6 +16,7 @@ inline constexpr unsigned kNumDistSymbols = 30;     // 0..29
 inline constexpr unsigned kEndOfBlock = 256;
 inline constexpr unsigned kFirstLengthCode = 257;
 inline constexpr unsigned kMaxCodeLength = 15;
+inline constexpr std::uint32_t kMaxDistance = 32768;  // the reach of distance code 29
 
 /// Length code: symbol 257..285, plus extra bits appended after the code.
 struct LengthCode {
@@ -36,6 +37,11 @@ struct DistanceCode {
 
 /// Maps a distance (1..32768) to its RFC 1951 code.
 [[nodiscard]] DistanceCode distance_code(std::uint32_t distance) noexcept;
+
+/// distance_code() for the block writers: throws std::invalid_argument on a
+/// distance past kMaxDistance (a 64 KiB dictionary reaches 65535), which
+/// distance_code() only asserts and would otherwise code as garbage.
+[[nodiscard]] DistanceCode checked_distance_code(std::uint32_t distance);
 
 /// Base length for length symbol 257+i and its extra-bit count.
 [[nodiscard]] std::uint32_t length_base(unsigned symbol) noexcept;

@@ -7,7 +7,7 @@
 #include "deflate/container.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 
 namespace lzss::deflate {
 namespace {
@@ -39,7 +39,7 @@ std::vector<std::uint8_t> StreamCompressor::finish() {
 
   // One full-history matcher pass (zlib equivalent of its sliding window,
   // without the 32 KB cap since we hold the whole buffer anyway).
-  core::SoftwareEncoder enc(opt_.params);
+  core::MatchFinderEncoder enc(opt_.params);
   const std::vector<core::Token> tokens = enc.encode(buffer_);
 
   // Split the token stream at block_bytes of covered source, honoring the

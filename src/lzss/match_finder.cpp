@@ -14,12 +14,11 @@ std::unique_ptr<MatchFinder> make_greedy_finder(const MatchParams& params);
 
 namespace {
 
-// The zlib head/prev chain finder, extracted from SoftwareEncoder. Probe
-// order, chain bounds, and the tired-searcher/nice cutoffs are kept exactly
-// as in SoftwareEncoder::encode_fast + longest_match so the MatchFinderEncoder
-// over this backend emits a bit-identical token stream (pinned by
-// tests/test_match_finder.cpp); only the inner byte compare is routed through
-// the SIMD comparer.
+// zlib's head/prev chain finder: INSERT_STRING, longest_match with its
+// chain bounds and tired-searcher/nice cutoffs, and the insert policies of
+// deflate_fast and deflate_slow. Only the inner byte compare is routed
+// through the SIMD comparer. The census counts the operations zlib executes
+// and the observer sees them in zlib's order; both feed the PPC440 models.
 class HashChainFinder final : public MatchFinder {
  public:
   explicit HashChainFinder(const MatchParams& params) : params_(params) {
@@ -40,8 +39,40 @@ class HashChainFinder final : public MatchFinder {
 
   [[nodiscard]] MatchCandidate find_longest_match(std::uint64_t pos,
                                                   std::uint32_t best_so_far) override {
+    return observer_ != nullptr ? search<true>(pos, best_so_far) : search<false>(pos, best_so_far);
+  }
+
+  void advance(std::uint64_t pos, std::uint32_t covered) override {
+    // deflate_fast indexes the covered positions only for short matches
+    // (max_insert_length == max_lazy); deflate_slow indexes all of them.
+    if (params_.strategy == Strategy::kFast && covered > params_.max_lazy) return;
+    for (std::uint64_t k = pos + 1; k < pos + covered && k + kMinMatch <= in_.size(); ++k) {
+      if (observer_ != nullptr) {
+        insert<true>(k);
+      } else {
+        insert<false>(k);
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kNil = ~std::uint64_t{0};
+
+  [[nodiscard]] std::uint64_t wmask() const noexcept { return params_.window_size() - 1; }
+
+  // kTraced instantiations report every reference to observer_. The untraced
+  // ones carry no check for it: a branch per reference measurably slows the
+  // search loop.
+  template <bool kTraced>
+  void trace(MemRegion region, std::uint64_t index) {
+    if constexpr (kTraced) observer_->on_access(region, index);
+  }
+
+  /// zlib longest_match, after indexing @p pos.
+  template <bool kTraced>
+  MatchCandidate search(std::uint64_t pos, std::uint32_t best_so_far) {
     assert(pos + kMinMatch <= in_.size());
-    const std::uint64_t head = insert(pos);
+    const std::uint64_t head = insert<kTraced>(pos);
     if (head == kNil) return {};
 
     const std::uint32_t max_len =
@@ -62,43 +93,48 @@ class HashChainFinder final : public MatchFinder {
       ++stats_.probes;
       const std::uint32_t len = static_cast<std::uint32_t>(
           simd::match_length(in_.data() + cur, in_.data() + pos, max_len));
-      stats_.compare_bytes += std::min<std::uint32_t>(len + 1, max_len);
+      const std::uint32_t compared = std::min<std::uint32_t>(len + 1, max_len);
+      stats_.compare_bytes += compared;
+      if constexpr (kTraced) {
+        // Both compare operands touch memory; sample at line granularity
+        // rather than per byte (the inner loop streams within a line).
+        for (std::uint32_t off = 0; off < compared; off += 32) {
+          trace<kTraced>(MemRegion::kWindow, cur + off);
+          trace<kTraced>(MemRegion::kWindow, pos + off);
+        }
+      }
       if (len > best_len) {
         best_len = len;
         best = {len, static_cast<std::uint32_t>(pos - cur)};
         if (len >= nice) break;
       }
-      const std::uint64_t prior = prev_[cur & (params_.window_size() - 1)];
+      trace<kTraced>(MemRegion::kPrev, cur & wmask());
+      const std::uint64_t prior = prev_[cur & wmask()];
       if (prior != kNil && prior >= cur) break;  // chain entry overwritten by a newer position
       cur = prior;
     }
     return best;
   }
 
-  void advance(std::uint64_t pos, std::uint32_t covered) override {
-    // deflate_fast: index covered positions only for short matches
-    // (max_insert_length == max_lazy in fast mode).
-    if (covered > params_.max_lazy) return;
-    for (std::uint64_t k = pos + 1; k < pos + covered && k + kMinMatch <= in_.size(); ++k) {
-      insert(k);
-    }
-  }
-
- private:
-  static constexpr std::uint64_t kNil = ~std::uint64_t{0};
-
+  /// zlib's INSERT_STRING: links @p pos into its hash chain and returns the
+  /// previous chain head.
+  template <bool kTraced>
   std::uint64_t insert(std::uint64_t pos) {
     const std::uint32_t h = params_.hash.hash3(in_[pos], in_[pos + 1], in_[pos + 2]);
+    ++stats_.insertions;
+    trace<kTraced>(MemRegion::kWindow, pos);  // the 3 hashed bytes share a line
+    trace<kTraced>(MemRegion::kHead, h);      // read-modify-write of head[h]
+    trace<kTraced>(MemRegion::kPrev, pos & wmask());
     const std::uint64_t prior = head_[h];
-    prev_[pos & (params_.window_size() - 1)] = prior;
+    prev_[pos & wmask()] = prior;
     head_[h] = pos;
     return prior;
   }
 
   MatchParams params_;
   std::span<const std::uint8_t> in_;
-  std::vector<std::uint64_t> head_;
-  std::vector<std::uint64_t> prev_;
+  std::vector<std::uint64_t> head_;  // hash -> most recent position, kNil when empty
+  std::vector<std::uint64_t> prev_;  // pos & wmask -> previous position in chain
 };
 
 }  // namespace

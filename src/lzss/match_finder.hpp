@@ -5,9 +5,10 @@
 // interface splits "find the longest match" from "emit tokens" so the search
 // strategy can be swapped per request:
 //
-//   kHashChain    zlib-style head/prev chains — reproduces the exact probe
-//                 order of SoftwareEncoder's deflate_fast, so its token
-//                 stream is bit-identical to the baseline (pinned by test).
+//   kHashChain    zlib-style head/prev chains with zlib's probe order and
+//                 insert policy — the paper's software baseline (zlib's
+//                 deflate on the PPC440). Its operation census and memory
+//                 reference stream drive the PPC440 models in swmodel/.
 //   kSuffixArray  per-block suffix array + inverse + Kasai LCP; matches are
 //                 found by an LCP-bounded walk of rank neighbors. Higher
 //                 seed cost, near-constant probe cost, best worst-case
@@ -26,9 +27,12 @@
 //                              is strictly longer than b (length 0 = none).
 //                              Requires p + kMinMatch <= block.size(). As in
 //                              zlib, the call also indexes position p.
-//   advance(p, covered)        informs the finder the encoder consumed
-//                              `covered` bytes at p as one match; the finder
-//                              indexes the skipped positions per its policy.
+//   advance(p, n)              informs the finder that the encoder moves
+//                              from p, the last position it searched, to
+//                              p + n without searching the positions in
+//                              between; the finder indexes those per its
+//                              policy (zlib's differs between the greedy and
+//                              the lazy strategy).
 // Matches always point backwards within the seeded block (distance <= p and
 // <= params.max_distance()), so any decoded prefix can resolve them.
 #pragma once
@@ -46,12 +50,29 @@ struct MatchCandidate {
   std::uint32_t distance = 0;
 };
 
-/// Per-finder operation census; feeds the matchfinder_* server metrics and
-/// the bench sweep.
+/// Per-finder operation census; feeds the matchfinder_* server metrics, the
+/// bench sweep and the PPC440 timing model (swmodel/ppc440_model.hpp).
 struct FinderStats {
   std::uint64_t seeds = 0;          ///< blocks seeded (SA rebuilds for kSuffixArray)
+  std::uint64_t insertions = 0;     ///< head/prev chain insertions (kHashChain only)
   std::uint64_t probes = 0;         ///< candidate positions examined
   std::uint64_t compare_bytes = 0;  ///< bytes run through the comparer
+};
+
+/// Which data structure a traced memory reference touched.
+enum class MemRegion : std::uint8_t {
+  kWindow,  ///< input/window bytes (1-byte elements)
+  kHead,    ///< hash head table (2-byte Pos entries, as in zlib)
+  kPrev,    ///< prev chain table (2-byte Pos entries)
+};
+
+/// Observer for a finder's memory reference stream; drives the trace-based
+/// PPC440 cache model (swmodel/cache_sim.hpp).
+class AccessObserver {
+ public:
+  virtual ~AccessObserver() = default;
+  /// @param index element index within the region (not a byte address).
+  virtual void on_access(MemRegion region, std::uint64_t index) = 0;
 };
 
 class MatchFinder {
@@ -66,8 +87,13 @@ class MatchFinder {
 
   [[nodiscard]] const FinderStats& stats() const noexcept { return stats_; }
 
+  /// Streams every head/prev/window reference to @p observer; nullptr
+  /// detaches (the default). Only kHashChain, the modelled zlib, emits any.
+  void set_access_observer(AccessObserver* observer) noexcept { observer_ = observer; }
+
  protected:
   FinderStats stats_{};
+  AccessObserver* observer_ = nullptr;
 };
 
 [[nodiscard]] std::unique_ptr<MatchFinder> make_match_finder(MatchFinderKind kind,

@@ -1,11 +1,11 @@
-// MatchFinderEncoder — the production software compression path.
+// MatchFinderEncoder — the software LZSS compressor.
 //
-// A deflate_fast-style greedy token emitter over any MatchFinder backend.
-// SoftwareEncoder stays as the byte-accurate zlib baseline (its operation
-// census drives the PPC440 timing model); this encoder is where backend and
-// comparer choices actually change throughput. Over the kHashChain backend
-// it emits the exact token stream of SoftwareEncoder's fast strategy — the
-// invariant that pins the refactor (tests/test_match_finder.cpp).
+// zlib's two parsing loops over any MatchFinder backend, chosen by
+// params.strategy: deflate_fast (greedy, levels 1-3) and deflate_slow (lazy
+// matching with the TOO_FAR rule, levels 4-9). Over the kHashChain backend
+// it is the paper's software baseline, zlib's deflate: same tokens, and the
+// finder's census and access trace drive the PPC440 models (swmodel/).
+// Other backends change only where matches come from.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +23,24 @@ class MatchFinderEncoder {
   /// Backend selected by @p params.finder.
   explicit MatchFinderEncoder(MatchParams params);
 
-  /// Compresses @p input into a token stream (greedy, one pass).
+  /// Compresses @p input into a token stream (one pass).
   [[nodiscard]] std::vector<Token> encode(std::span<const std::uint8_t> input);
 
   [[nodiscard]] MatchFinderKind kind() const noexcept { return finder_->kind(); }
+  /// The census, accumulated over every encode() call.
   [[nodiscard]] const FinderStats& finder_stats() const noexcept { return finder_->stats(); }
   [[nodiscard]] const MatchParams& params() const noexcept { return params_; }
 
+  /// Streams the finder's memory references to @p observer during encode();
+  /// nullptr detaches (the default).
+  void set_access_observer(AccessObserver* observer) noexcept {
+    finder_->set_access_observer(observer);
+  }
+
  private:
+  void encode_fast(std::span<const std::uint8_t> in, std::vector<Token>& out);
+  void encode_slow(std::span<const std::uint8_t> in, std::vector<Token>& out);
+
   MatchParams params_;
   std::unique_ptr<MatchFinder> finder_;
 };

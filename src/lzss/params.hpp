@@ -23,7 +23,7 @@ enum class Strategy : std::uint8_t {
 /// Which MatchFinder backend drives the software compressor
 /// (lzss/match_finder.hpp; trade-offs in docs/MATCHFINDER.md).
 enum class MatchFinderKind : std::uint8_t {
-  kHashChain = 0,    ///< zlib-style head/prev chains (the sw_encoder baseline)
+  kHashChain = 0,    ///< zlib-style head/prev chains (the software baseline)
   kSuffixArray = 1,  ///< per-block suffix array + LCP-bounded neighbor search
   kGreedy = 2,       ///< LZ4-style single-probe wide-hash table
 };

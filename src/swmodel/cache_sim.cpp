@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 
 namespace lzss::swm {
 
@@ -93,7 +93,7 @@ CacheTimedResult cache_timed_encode(std::span<const std::uint8_t> data, unsigned
 
   CacheSim cache;
   TraceAdapter adapter(cache, window_bits, hash_bits);
-  core::SoftwareEncoder enc(mp);
+  core::MatchFinderEncoder enc(mp);
   enc.set_access_observer(&adapter);
   const auto tokens = enc.encode(data);
   enc.set_access_observer(nullptr);

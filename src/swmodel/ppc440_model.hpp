@@ -1,10 +1,10 @@
 // Timing model of the paper's software baseline: zlib on the PowerPC-440
 // hard core inside the XC5VFX70T, clocked at 400 MHz.
 //
-// We cannot run a PowerPC; instead the software encoder's operation census
-// (hash computations, chain probes, compared bytes, emitted tokens — the
-// same operations zlib's deflate executes) is priced with per-operation
-// cycle costs representative of a PPC440 with 32 KB caches in front of DDR2.
+// We cannot run a PowerPC; instead the hash-chain encoder's operation census
+// (chain insertions, chain probes, compared bytes, emitted tokens — the same
+// operations zlib's deflate executes) is priced with per-operation cycle
+// costs representative of a PPC440 with 32 KB caches in front of DDR2.
 // The costs were calibrated ONCE against the paper's Table I anchor
 // (~2.5-3.3 MB/s for zlib level 1 on text) and are frozen; every experiment
 // then uses the same frozen model, so relative comparisons remain honest.
@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "lzss/sw_encoder.hpp"
+#include "lzss/match_finder.hpp"
 
 namespace lzss::swm {
 
@@ -32,8 +32,9 @@ struct SwTiming {
   double mb_per_s = 0.0;  ///< MB = 10^6 bytes
 };
 
-/// Prices one encode run. @p bytes is the input size the stats describe.
-[[nodiscard]] SwTiming price(const core::EncodeStats& stats, std::uint64_t bytes,
-                             const Ppc440Costs& costs = {});
+/// Prices one encode run of the hash-chain encoder: @p census and
+/// @p tokens (the token count) describe the run over @p bytes input bytes.
+[[nodiscard]] SwTiming price(const core::FinderStats& census, std::uint64_t tokens,
+                             std::uint64_t bytes, const Ppc440Costs& costs = {});
 
 }  // namespace lzss::swm

@@ -7,7 +7,7 @@
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::deflate {
@@ -33,7 +33,7 @@ TEST(FixedBlock, LiteralsAndMatches) {
 }
 
 TEST(FixedBlock, SizePredictionIsExact) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 50000);
   const auto tokens = enc.encode(data);
   const auto stream = deflate_fixed(tokens);
@@ -80,7 +80,7 @@ TEST(MultiBlock, MixedBlockTypesConcatenate) {
 }
 
 TEST(DynamicBlock, RoundtripOnText) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 80000);
   const auto tokens = enc.encode(data);
   const auto stream = deflate_dynamic(tokens);
@@ -90,7 +90,7 @@ TEST(DynamicBlock, RoundtripOnText) {
 TEST(DynamicBlock, BeatsFixedOnSkewedData) {
   // CAN logs have a very skewed byte distribution; the dynamic table must
   // produce a smaller stream than the fixed one.
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("x2e", 200000);
   const auto tokens = enc.encode(data);
   EXPECT_LT(deflate_dynamic(tokens).size(), deflate_fixed(tokens).size());

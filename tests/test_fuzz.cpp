@@ -14,7 +14,7 @@
 #include "lzss/decoder.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "lzss/raw_container.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "server/frame.hpp"
 #include "workloads/corpus.hpp"
 
@@ -132,7 +132,7 @@ TEST(FuzzInflate, RandomGarbageNeverCrashes) {
 }
 
 TEST(FuzzRawContainer, HeaderFuzzNeverCrashes) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 4096);
   const auto tokens = enc.encode(data);
   const auto c = core::raw_container_pack(tokens, 12, data.size());
@@ -440,7 +440,7 @@ TEST(FuzzRoundtrip, SwEncoderRandomParams) {
     p.strategy = rng.next_below(2) == 0 ? core::Strategy::kFast : core::Strategy::kSlow;
 
     const auto data = wl::make_corpus("mixed", 4 * 1024 + rng.next_below(30000), trial + 100);
-    core::SoftwareEncoder enc(p);
+    core::MatchFinderEncoder enc(p);
     const auto tokens = enc.encode(data);
     ASSERT_TRUE(core::tokens_reproduce(tokens, data, p.window_size())) << p.describe();
   }

@@ -6,7 +6,7 @@
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::deflate {
@@ -76,7 +76,7 @@ TEST(InflateEdges, OversubscribedLitLenCodeRejected) {
 
 TEST(InflateEdges, NonFinalChainTerminatesOnlyAtFinal) {
   // Three fixed blocks; only the last is BFINAL. inflate must consume all.
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto a = wl::make_corpus("wiki", 3000, 1);
   const auto b = wl::make_corpus("wiki", 3000, 2);
   const auto c = wl::make_corpus("wiki", 3000, 3);
@@ -94,7 +94,7 @@ TEST(InflateEdges, NonFinalChainTerminatesOnlyAtFinal) {
 }
 
 TEST(InflateEdges, MissingFinalBlockHitsEndOfData) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto a = wl::make_corpus("wiki", 2000);
   bits::BitWriter w;
   write_fixed_block(w, enc.encode(a), /*final_block=*/false);

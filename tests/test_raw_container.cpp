@@ -4,7 +4,7 @@
 
 #include "hw/compressor.hpp"
 #include "lzss/decoder.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::core {
@@ -22,7 +22,7 @@ TEST(RawContainer, HeaderRoundtrip) {
 TEST(RawContainer, FullRoundtrip) {
   MatchParams p;
   p.window_bits = 12;
-  SoftwareEncoder enc(p.with_level(1));
+  MatchFinderEncoder enc(p.with_level(1));
   const auto data = wl::make_corpus("wiki", 64 * 1024);
   const auto tokens = enc.encode(data);
   const auto c = raw_container_pack(tokens, p.window_bits, data.size());
@@ -53,7 +53,7 @@ TEST(RawContainer, BadMagicRejected) {
 
 TEST(RawContainer, TruncationsRejected) {
   MatchParams p;
-  SoftwareEncoder enc(p.with_level(1));
+  MatchFinderEncoder enc(p.with_level(1));
   const auto data = wl::make_corpus("wiki", 4096);
   const auto tokens = enc.encode(data);
   auto c = raw_container_pack(tokens, p.window_bits, data.size());

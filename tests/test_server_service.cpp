@@ -9,10 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <thread>
 
@@ -386,6 +388,34 @@ RequestFrame decompress_request(std::uint64_t id, std::vector<std::uint8_t> payl
   req.opcode = Opcode::kDecompress;
   req.payload = std::move(payload);
   return req;
+}
+
+TEST(ServerService, FarMatchesOfTheRatioPresetRoundTripThroughDecompress) {
+  // Preset 3 ("ratio") has a 64 KiB dictionary, so its encoders find matches
+  // farther back than the 32768 bytes a Deflate distance code reaches. Such
+  // a token stream cannot be Deflate-coded: every COMPRESS flavour must fall
+  // back to a stored form that DECOMPRESS inverts.
+  Service service(small_config());
+  LoopbackClient client(service);
+  auto data = wl::make_corpus("wiki", 96 * 1024);
+  const auto motif = wl::make_corpus("random", 300, 7);
+  std::copy(motif.begin(), motif.end(), data.begin() + 30'000);
+  std::copy(motif.begin(), motif.end(), data.begin() + 80'000);  // 50,000 bytes back
+
+  const std::uint16_t ratio = flags_with_preset(0, 3);
+  const RequestFrame requests[] = {
+      compress_request(1, data, flags_with_matchfinder(ratio, 1)),  // hw model
+      compress_request(2, data, flags_with_matchfinder(ratio, 2)),  // hashchain
+      blocked_request(3, data, ratio),
+  };
+  for (const RequestFrame& req : requests) {
+    SCOPED_TRACE("request " + std::to_string(req.id));
+    const auto packed = client.call(req);
+    ASSERT_EQ(packed.status, Status::kOk);
+    const auto restored = client.call(decompress_request(req.id + 10, packed.payload));
+    EXPECT_EQ(restored.status, Status::kOk);
+    EXPECT_EQ(restored.payload, data);
+  }
 }
 
 TEST(ServerContainer, BlockedCompressRoundTripsThroughDecompress) {

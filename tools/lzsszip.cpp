@@ -23,7 +23,7 @@
 #include "deflate/inflate.hpp"
 #include "hw/compressor.hpp"
 #include "logger/archive.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 
 namespace {
 
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     } else {
       core::MatchParams p;
       p.window_bits = window_bits;
-      core::SoftwareEncoder enc(p.with_level(level));
+      core::MatchFinderEncoder enc(p.with_level(level));
       tokens = enc.encode(input);
     }
     if (huffman == "fixed") kind = deflate::BlockKind::kFixed;
