@@ -19,6 +19,9 @@
 #include "lzss/mf_encoder.hpp"
 #include "lzss/simd_compare.hpp"
 #include "lzss/token.hpp"
+#include "obs/metrics.hpp"
+#include "server/service.hpp"
+#include "server/tcp.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss {
@@ -215,6 +218,94 @@ TEST(EncoderGolden, HoldsUnderEveryComparerIsa) {
                    g.corpus + " level " + std::to_string(g.level));
       expect_encoder_golden(g);
     }
+  }
+}
+
+// Service responses on the two paths that fan one payload out, 512 KiB of
+// each corpus at seed 42 and the default service configuration otherwise.
+// Striped COMPRESS (payload >= large_threshold) stitches one fixed-Huffman
+// block per stripe into a single zlib body; `cycles` is the hw_cycles_total
+// the call exports, i.e. the cycle census summed over its stripes. The
+// 4 KiB dictionary leaves all 8 stripes in place (test_multi_engine covers
+// the stripe >= dictionary clamp).
+struct StripedGolden {
+  const char* corpus;
+  unsigned engines;
+  std::uint32_t response_crc;
+  std::size_t response_size;
+  std::uint64_t cycles;
+};
+
+constexpr StripedGolden kStripedGolden[] = {
+    {"wiki", 1, 0xEB5F5273, 305588, 1036124},
+    {"wiki", 4, 0x17B8786F, 306190, 1035964},
+    {"wiki", 8, 0xBEE97760, 307033, 1035674},
+    {"x2e", 1, 0xEE10320E, 311323, 992233},
+    {"x2e", 4, 0xAB91DF8E, 311515, 991017},
+    {"x2e", 8, 0x371E9008, 311761, 989303},
+    {"mixed", 1, 0x5857A49C, 283515, 625858},
+    {"mixed", 4, 0xB75B26BB, 283522, 625901},
+    {"mixed", 8, 0xDFEC77F0, 283541, 626053},
+};
+
+// COMPRESS_BLOCKED with 64 KiB blocks: the LZBC container bytes and the
+// census summed over its eight blocks.
+struct BlockedGolden {
+  const char* corpus;
+  std::uint32_t response_crc;
+  std::size_t response_size;
+  std::uint64_t cycles;
+};
+
+constexpr BlockedGolden kBlockedGolden[] = {
+    {"wiki", 0x3410026A, 307183, 1035674},
+    {"x2e", 0x93FDFADA, 311910, 989303},
+    {"mixed", 0x6B1CE06B, 283692, 626053},
+};
+
+struct ServiceCall {
+  server::ResponseFrame response;
+  std::uint64_t cycles;
+};
+
+ServiceCall call_service(server::ServiceConfig cfg, server::Opcode opcode, const char* corpus) {
+  obs::Registry registry;
+  cfg.registry = &registry;
+  server::Service service(cfg);
+  server::LoopbackClient client(service);
+  server::RequestFrame req;
+  req.id = 1;
+  req.opcode = opcode;
+  req.payload = wl::make_corpus(corpus, 512 * 1024, 42);
+  ServiceCall out{client.call(req), 0};
+  out.cycles = registry.counter("hw_cycles_total").value();
+  return out;
+}
+
+TEST(ServiceGolden, StripedCompressIsFrozen) {
+  for (const StripedGolden& g : kStripedGolden) {
+    SCOPED_TRACE(std::string(g.corpus) + " x" + std::to_string(g.engines));
+    server::ServiceConfig cfg;
+    cfg.large_engines = g.engines;
+    ASSERT_GE(512u * 1024, cfg.large_threshold);
+    const ServiceCall call = call_service(cfg, server::Opcode::kCompress, g.corpus);
+    ASSERT_EQ(call.response.status, server::Status::kOk);
+    EXPECT_EQ(checksum::crc32(call.response.payload), g.response_crc);
+    EXPECT_EQ(call.response.payload.size(), g.response_size);
+    EXPECT_EQ(call.cycles, g.cycles);
+  }
+}
+
+TEST(ServiceGolden, BlockedCompressIsFrozen) {
+  for (const BlockedGolden& g : kBlockedGolden) {
+    SCOPED_TRACE(g.corpus);
+    server::ServiceConfig cfg;
+    cfg.block_bytes = 64 * 1024;
+    const ServiceCall call = call_service(cfg, server::Opcode::kCompressBlocked, g.corpus);
+    ASSERT_EQ(call.response.status, server::Status::kOk);
+    EXPECT_EQ(checksum::crc32(call.response.payload), g.response_crc);
+    EXPECT_EQ(call.response.payload.size(), g.response_size);
+    EXPECT_EQ(call.cycles, g.cycles);
   }
 }
 
