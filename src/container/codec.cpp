@@ -1,11 +1,7 @@
 #include "container/codec.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "common/bitio.hpp"
 #include "common/checksum.hpp"
@@ -105,56 +101,19 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
   const std::size_t block_bytes =
       par::clamp_block_bytes(config.block_bytes, config.hw.dict_size());
   const std::size_t blocks = block_count_for(input.size(), block_bytes);
-  std::vector<std::vector<std::uint8_t>> records(blocks);
-  std::atomic<std::size_t> stored_blocks{0};
-
-  // Same shape as the multi-engine bank: threads pull block indices off a
-  // shared counter; records land by index so order is deterministic.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto run = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= blocks) return;
-      try {
-        const std::size_t begin = i * block_bytes;
-        const std::size_t len = std::min(block_bytes, input.size() - begin);
-        auto result = encode_block(config.hw, nullptr, input.subspan(begin, len));
-        if (result.stored) stored_blocks.fetch_add(1);
-        records[i] = std::move(result.record);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned want = config.threads == 0 ? hw_threads : config.threads;
-  const unsigned n_threads =
-      static_cast<unsigned>(std::min<std::size_t>(std::max(want, 1u), std::max<std::size_t>(blocks, 1)));
-  if (n_threads <= 1) {
-    run();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(run);
-    for (auto& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  std::size_t total = kSuperframeHeaderSize;
-  for (const auto& r : records) total += r.size();
   std::vector<std::uint8_t> out;
-  out.reserve(total);
   append_superframe_header(out, static_cast<std::uint32_t>(block_bytes),
                            static_cast<std::uint32_t>(blocks), input.size());
-  for (const auto& r : records) out.insert(out.end(), r.begin(), r.end());
+  std::size_t stored_blocks = 0;
+  for (std::size_t begin = 0; begin < input.size(); begin += block_bytes) {
+    const std::size_t len = std::min(block_bytes, input.size() - begin);
+    const auto result = encode_block(config.hw, nullptr, input.subspan(begin, len));
+    if (result.stored) ++stored_blocks;
+    out.insert(out.end(), result.record.begin(), result.record.end());
+  }
   if (report != nullptr) {
     report->blocks = blocks;
-    report->stored_blocks = stored_blocks.load();
+    report->stored_blocks = stored_blocks;
     report->effective_block_bytes = block_bytes;
   }
   return out;
@@ -165,43 +124,12 @@ std::vector<std::uint8_t> block_decompress(std::span<const std::uint8_t> bytes,
   const SuperframeView view = parse(bytes, max_output);
   std::vector<std::uint8_t> out(static_cast<std::size_t>(view.raw_total));
   std::size_t stored_blocks = 0;
-  for (const auto& b : view.blocks)
+  // All-or-nothing: the first failing block throws, so a damaged container
+  // never yields a partial payload.
+  for (const BlockView& b : view.blocks) {
     if (b.method == Method::kStored) ++stored_blocks;
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::atomic<bool> failed{false};
-  auto run = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= view.blocks.size() || failed.load(std::memory_order_relaxed)) return;
-      try {
-        const BlockView& b = view.blocks[i];
-        decode_block(b, std::span<std::uint8_t>(out).subspan(b.raw_offset, b.raw_len));
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned n_threads = static_cast<unsigned>(
-      std::min<std::size_t>(hw_threads, std::max<std::size_t>(view.blocks.size(), 1)));
-  if (n_threads <= 1) {
-    run();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(run);
-    for (auto& t : pool) t.join();
+    decode_block(b, std::span<std::uint8_t>(out).subspan(b.raw_offset, b.raw_len));
   }
-  // All-or-nothing: any failing block rethrows; a damaged container never
-  // yields a partial payload.
-  if (first_error) std::rethrow_exception(first_error);
   if (report != nullptr) {
     report->blocks = view.blocks.size();
     report->stored_blocks = stored_blocks;

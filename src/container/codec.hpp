@@ -2,9 +2,10 @@
 // parallel decode.
 //
 // The per-block primitives (encode_block / decode_block) are what the
-// service's fan-out path runs on worker threads; block_compress /
-// block_decompress wrap them with a local thread pool for standalone use
-// (tools, benches, tests) so the container round-trips without a server.
+// service's fan-out path runs on its worker pool (container/scheduler.hpp);
+// block_compress / block_decompress run them in order on the calling thread
+// for standalone use (tools, benches, tests), so the container round-trips
+// without a server.
 //
 // Per-block guarantees:
 //  * encode_block never fails: when the model path throws, or Deflate would
@@ -30,7 +31,6 @@ namespace lzss::container {
 
 struct BlockCodecConfig {
   std::size_t block_bytes = 256 * 1024;  ///< split size before the dict clamp
-  unsigned threads = 0;                  ///< 0 = hardware concurrency
   hw::HwConfig hw = hw::HwConfig::speed_optimized();
 };
 
@@ -61,9 +61,9 @@ struct BlockEncodeResult {
 /// Fault point "container.block.corrupt" flips bits in the compressed view.
 void decode_block(const BlockView& block, std::span<std::uint8_t> out);
 
-/// Splits, compresses each block on a local thread pool, reassembles in
-/// order. The block size is clamped up to the dictionary size (the stripe
-/// clamp; the report carries the effective value).
+/// Splits and compresses each block in order on the calling thread. The
+/// block size is clamped up to the dictionary size (the stripe clamp; the
+/// report carries the effective value).
 [[nodiscard]] std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
                                                        const BlockCodecConfig& config,
                                                        EncodeReport* report = nullptr);
@@ -73,8 +73,8 @@ struct DecodeReport {
   std::size_t stored_blocks = 0;
 };
 
-/// Parses strictly, then decodes every block (CRC-verified) on a local
-/// thread pool. @p max_output caps raw_total (throws kTooLarge beyond it).
+/// Parses strictly, then decodes every block (CRC-verified) in order.
+/// @p max_output caps raw_total (throws kTooLarge beyond it).
 [[nodiscard]] std::vector<std::uint8_t> block_decompress(std::span<const std::uint8_t> bytes,
                                                          std::size_t max_output,
                                                          DecodeReport* report = nullptr);

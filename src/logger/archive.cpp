@@ -87,23 +87,29 @@ ArchiveReader::ArchiveReader(std::span<const std::uint8_t> archive) : archive_(a
   if (std::memcmp(archive.data() + archive.size() - 4, kMagic, 4) != 0)
     throw ArchiveError(ArchiveError::Kind::kBadMagic, "archive: bad magic");
   total_ = get_le64(archive, archive.size() - 12);
-  const std::uint64_t entries = get_le64(archive, archive.size() - 20);
-  const std::uint64_t index_bytes = entries * 24;
-  if (archive.size() < 20 + index_bytes)
+  // Every field below comes from untrusted bytes: bound by division and
+  // subtraction, never by a sum or product that could wrap.
+  const std::size_t counts_at = archive.size() - 20;
+  const std::uint64_t entries = get_le64(archive, counts_at);
+  if (entries > counts_at / 24)
     throw ArchiveError(ArchiveError::Kind::kTruncated, "archive: truncated index");
 
+  // Blocks live in the bytes before the index, and their raw sizes add up
+  // to total_ without passing it.
+  const std::size_t index_at = counts_at - static_cast<std::size_t>(entries) * 24;
   std::uint64_t uoff = 0;
-  std::size_t at = archive.size() - 20 - index_bytes;
+  std::size_t at = index_at;
   for (std::uint64_t i = 0; i < entries; ++i, at += 24) {
     IndexEntry e;
     e.compressed_offset = get_le64(archive, at);
     e.compressed_size = get_le64(archive, at + 8);
     e.uncompressed_offset = uoff;
     e.uncompressed_size = get_le64(archive, at + 16);
-    uoff += e.uncompressed_size;
-    if (e.compressed_offset + e.compressed_size > archive.size())
+    if (e.compressed_offset > index_at || e.compressed_size > index_at - e.compressed_offset ||
+        e.uncompressed_size > total_ - uoff)
       throw ArchiveError(ArchiveError::Kind::kBadIndex, "archive: index entry out of range",
                          static_cast<std::size_t>(i));
+    uoff += e.uncompressed_size;
     index_.push_back(e);
   }
   if (uoff != total_)

@@ -1,11 +1,8 @@
 #include "parallel/multi_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/bitio.hpp"
 #include "deflate/encoder.hpp"
@@ -15,7 +12,8 @@ namespace lzss::par {
 
 MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
                                         std::span<const std::uint8_t> data,
-                                        unsigned num_engines) {
+                                        unsigned num_engines,
+                                        const StripeRunner& run_stripes) {
   if (num_engines == 0) throw std::invalid_argument("compress_multi_engine: zero engines");
   const unsigned requested_engines = num_engines;
   // Stripes smaller than the dictionary make no sense; shrink the bank. The
@@ -28,39 +26,28 @@ MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
   struct EngineOutput {
     std::vector<core::Token> tokens;
     hw::CycleStats stats;
+    std::exception_ptr error;
   };
   std::vector<EngineOutput> outputs(num_engines);
-
-  // One host thread per engine, pulling stripe indices off a shared counter.
-  std::atomic<unsigned> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (;;) {
-      const unsigned i = next.fetch_add(1);
-      if (i >= num_engines) return;
-      try {
-        const std::size_t begin = static_cast<std::size_t>(i) * stripe;
-        const std::size_t end = std::min(begin + stripe, data.size());
-        hw::Compressor comp(config);
-        auto result = comp.compress(data.subspan(begin, end - begin));
-        outputs[i].tokens = std::move(result.tokens);
-        outputs[i].stats = result.stats;
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
+  const auto run_stripe = [&](std::size_t i) {
+    try {
+      const std::size_t begin = i * stripe;
+      const std::size_t end = std::min(begin + stripe, data.size());
+      hw::Compressor comp(config);
+      auto result = comp.compress(data.subspan(begin, end - begin));
+      outputs[i].tokens = std::move(result.tokens);
+      outputs[i].stats = result.stats;
+    } catch (...) {
+      outputs[i].error = std::current_exception();
     }
   };
-
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned n_threads = std::min(num_engines, hw_threads);
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  if (run_stripes) {
+    run_stripes(num_engines, run_stripe);
+  } else {
+    for (std::size_t i = 0; i < num_engines; ++i) run_stripe(i);
+  }
+  for (const auto& o : outputs)
+    if (o.error) std::rethrow_exception(o.error);
 
   MultiEngineReport report;
   report.requested_engines = requested_engines;

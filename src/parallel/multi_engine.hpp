@@ -3,12 +3,13 @@
 // The paper's introduction sells FPGAs on "massive algorithmic parallelism",
 // and its conclusion leaves scaling beyond one unit as future work: a single
 // compressor uses ~6 % of the XC5VFX70T's logic and a fraction of its BRAM,
-// so several units fit comfortably. This module models (and on the host,
-// actually runs, one thread per engine) a bank of E independent compressor
-// units, each fed a contiguous stripe of the input, whose token streams are
-// stitched into one multi-block Deflate stream. Since every Deflate block
-// only references its own stripe's history, the concatenation is a valid
-// stream any inflater accepts.
+// so several units fit comfortably. This module models a bank of E
+// independent compressor units, each fed a contiguous stripe of the input,
+// whose token streams are stitched into one multi-block Deflate stream.
+// Since every Deflate block only references its own stripe's history, the
+// concatenation is a valid stream any inflater accepts. The module starts no
+// threads: the caller decides where the stripes run (the service hands them
+// to its worker pool; benches and tools run them in a loop).
 //
 // The trade-off this exposes is real: stripes reset the dictionary, so
 // aggregate throughput scales ~linearly with E while the compression ratio
@@ -16,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -59,11 +61,18 @@ struct MultiEngineReport {
   }
 };
 
-/// Compresses @p data on @p num_engines model instances (host threads run
-/// them concurrently; results are deterministic regardless of scheduling
-/// because the stripes are independent).
+/// Runs run_stripe(i) once for every i in [0, stripes) and returns when all
+/// have run, in any order and on any threads. run_stripe never throws.
+using StripeRunner = std::function<void(
+    std::size_t stripes, const std::function<void(std::size_t)>& run_stripe)>;
+
+/// Compresses @p data on @p num_engines model instances. @p run_stripes
+/// decides where the stripes run; empty runs them in order on the calling
+/// thread. The result does not depend on it, because the stripes are
+/// independent.
 [[nodiscard]] MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
                                                       std::span<const std::uint8_t> data,
-                                                      unsigned num_engines);
+                                                      unsigned num_engines,
+                                                      const StripeRunner& run_stripes = {});
 
 }  // namespace lzss::par

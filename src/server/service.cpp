@@ -35,11 +35,10 @@ namespace lzss::server {
 
 namespace {
 
-/// zlib's CINFO field only reaches 2^15; larger dictionaries still produce
-/// distances Deflate can carry (<= 32 KB after max_distance trimming).
-unsigned container_window_bits(const hw::HwConfig& cfg) noexcept {
-  return std::clamp(cfg.dict_bits, 8u, 15u);
-}
+/// Deflate's largest window, 2^15 bytes: its distance codes and zlib's
+/// CINFO field both stop there. Service::process caps the dictionary of
+/// every request with Deflate output at this size.
+constexpr unsigned kDeflateDictBits = 15;
 
 /// The software encoder mirrors the hw model's knobs: same window, hash
 /// spec, chain bound and insert policy, so backend choice changes search
@@ -77,7 +76,7 @@ std::vector<std::uint8_t> fallback_container(std::span<const std::uint8_t> input
     deflate::write_stored_block(w, input.subspan(off, n), off + n == input.size());
     off += n;
   } while (off < input.size());
-  return deflate::zlib_wrap(w.take(), adler, container_window_bits(cfg));
+  return deflate::zlib_wrap(w.take(), adler, cfg.dict_bits);
 }
 
 }  // namespace
@@ -576,9 +575,22 @@ ResponseFrame Service::process(RequestFrame& request, hw::Compressor& compressor
   if (request.opcode == Opcode::kScrub) return do_scrub(request);
   if (request.opcode == Opcode::kVerify) return do_verify(request);
   if (request.opcode == Opcode::kDecompress) return do_decompress(request);
+
+  // Deflate distance codes reach 32 KiB back, so a larger dictionary only
+  // finds matches the Deflate writers refuse (the request would fall back to
+  // stored blocks). Deflate output searches a 32 KiB window; LZS1 raw output
+  // keeps the full dictionary.
+  const bool deflate_output = request.opcode == Opcode::kCompressBlocked ||
+                              (request.flags & kFlagRawContainer) == 0;
+  if (deflate_output && cfg->dict_bits > kDeflateDictBits) {
+    preset_cfg = *cfg;
+    preset_cfg.dict_bits = kDeflateDictBits;
+    cfg = &preset_cfg;
+  }
+  hw::Compressor* engine = cfg == &cfg_.hw ? &compressor : nullptr;
   if (request.opcode == Opcode::kCompressBlocked)
-    return do_compress_blocked(request, *cfg, preset_id == 0 ? &compressor : nullptr);
-  return do_compress(request, *cfg, preset_id == 0 ? &compressor : nullptr);
+    return do_compress_blocked(request, *cfg, engine);
+  return do_compress(request, *cfg, engine);
 }
 
 ResponseFrame Service::do_log_append(const RequestFrame& request) {
@@ -878,16 +890,20 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
       if (raw) {
         resp.payload = core::raw_container_pack(tokens, cfg.dict_bits, input.size());
       } else {
-        resp.payload = deflate::zlib_wrap_tokens(tokens, input, container_window_bits(cfg),
+        resp.payload = deflate::zlib_wrap_tokens(tokens, input, cfg.dict_bits,
                                                  deflate::BlockKind::kFixed);
       }
     } else if (!raw && large && !input.empty()) {
-      // Large zlib requests stripe across a bank of engines; the stitched
+      // Large zlib requests stripe across a bank of engines whose stripes
+      // fan out over the worker pool like container blocks; the stitched
       // multi-block Deflate stream wraps into one valid zlib container.
-      const auto report = par::compress_multi_engine(cfg, input, cfg_.large_engines);
+      const auto report = par::compress_multi_engine(
+          cfg, input, cfg_.large_engines,
+          [this](std::size_t stripes, const std::function<void(std::size_t)>& run_stripe) {
+            fan_out(stripes, [&](std::size_t i, hw::Compressor*) { run_stripe(i); }, nullptr);
+          });
       for (const auto& engine : report.engines) census += engine;
-      resp.payload = deflate::zlib_wrap(report.deflate_stream, resp.adler,
-                                        container_window_bits(cfg));
+      resp.payload = deflate::zlib_wrap(report.deflate_stream, resp.adler, cfg.dict_bits);
     } else {
       // Small requests (and every raw-container request: that container
       // carries a single token stream) run on one model instance — the
@@ -906,7 +922,7 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
       if (raw) {
         resp.payload = core::raw_container_pack(tokens, cfg.dict_bits, input.size());
       } else {
-        resp.payload = deflate::zlib_wrap_tokens(tokens, input, container_window_bits(cfg),
+        resp.payload = deflate::zlib_wrap_tokens(tokens, input, cfg.dict_bits,
                                                  deflate::BlockKind::kFixed);
       }
     }
@@ -1014,20 +1030,7 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
     span.set_args(static_cast<std::int64_t>(i), static_cast<std::int64_t>(len));
   };
 
-  struct WaiterGuard {
-    obs::Gauge* g;
-    explicit WaiterGuard(obs::Gauge* gauge) : g(gauge) { g->add(1); }
-    ~WaiterGuard() { g->add(-1); }
-  } waiter(reassembly_waiters_g_);
-  const container::FanoutReport rep = container::run_fanout(
-      blocks, cfg_.workers > 0 ? cfg_.workers - 1 : 0, work,
-      [this](std::function<void(hw::Compressor&)> task) {
-        return try_enqueue_helper(std::move(task));
-      },
-      default_compressor);
-  helper_blocks_c_->add(rep.helper_blocks);
-  helper_rejects_c_->add(rep.helpers_rejected);
-  reassembly_wait_us_->record(rep.reassembly_wait_us);
+  fan_out(blocks, work, default_compressor);
 
   std::size_t total = container::kSuperframeHeaderSize;
   for (const auto& r : records) total += r.size();
@@ -1084,20 +1087,7 @@ ResponseFrame Service::do_decompress_blocked(const RequestFrame& request) {
     span.set_args(static_cast<std::int64_t>(i), static_cast<std::int64_t>(b.raw_len));
   };
 
-  struct WaiterGuard {
-    obs::Gauge* g;
-    explicit WaiterGuard(obs::Gauge* gauge) : g(gauge) { g->add(1); }
-    ~WaiterGuard() { g->add(-1); }
-  } waiter(reassembly_waiters_g_);
-  const container::FanoutReport rep = container::run_fanout(
-      view.blocks.size(), cfg_.workers > 0 ? cfg_.workers - 1 : 0, work,
-      [this](std::function<void(hw::Compressor&)> task) {
-        return try_enqueue_helper(std::move(task));
-      },
-      nullptr);
-  helper_blocks_c_->add(rep.helper_blocks);
-  helper_rejects_c_->add(rep.helpers_rejected);
-  reassembly_wait_us_->record(rep.reassembly_wait_us);
+  fan_out(view.blocks.size(), work, nullptr);
 
   if (block_failed.load()) {
     resp.status = Status::kCorrupt;
@@ -1106,6 +1096,24 @@ ResponseFrame Service::do_decompress_blocked(const RequestFrame& request) {
   resp.payload = std::move(output);
   resp.adler = checksum::adler32(resp.payload);
   return resp;
+}
+
+void Service::fan_out(std::size_t blocks, const container::BlockWork& work,
+                      hw::Compressor* inline_engine) {
+  struct WaiterGuard {
+    obs::Gauge* g;
+    explicit WaiterGuard(obs::Gauge* gauge) : g(gauge) { g->add(1); }
+    ~WaiterGuard() { g->add(-1); }
+  } waiter(reassembly_waiters_g_);
+  const container::FanoutReport rep = container::run_fanout(
+      blocks, cfg_.workers > 0 ? cfg_.workers - 1 : 0, work,
+      [this](std::function<void(hw::Compressor&)> task) {
+        return try_enqueue_helper(std::move(task));
+      },
+      inline_engine);
+  helper_blocks_c_->add(rep.helper_blocks);
+  helper_rejects_c_->add(rep.helpers_rejected);
+  reassembly_wait_us_->record(rep.reassembly_wait_us);
 }
 
 bool Service::try_enqueue_helper(std::function<void(hw::Compressor&)> work) {

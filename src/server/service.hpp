@@ -9,15 +9,17 @@
 // Dispatch policy: PING and STATS are control-plane and answered inline (they
 // never queue, never see BUSY). COMPRESS and DECOMPRESS are data-plane and go
 // through the queue to a worker. Each worker owns a long-lived hw::Compressor
-// for the service's default configuration; payloads at or above
+// for the service's default configuration; zlib payloads at or above
 // large_threshold take the par::MultiEngine striped path instead, so one big
 // request does not serialize behind a single model instance.
-// COMPRESS_BLOCKED splits the payload into an LZBC block container and fans
-// the blocks across the pool as internal sub-jobs on the same bounded queue
-// (container/scheduler.hpp); DECOMPRESS sniffs the LZBC magic and inverts
-// blocked containers the same parallel way. The parent request's worker
-// always participates in the fan-out, so a saturated queue degrades to
-// single-worker throughput instead of deadlocking.
+// COMPRESS_BLOCKED splits the payload into an LZBC block container;
+// DECOMPRESS sniffs the LZBC magic and inverts blocked containers. Stripes
+// and blocks alike fan out across the pool as internal sub-jobs on the same
+// bounded queue (container/scheduler.hpp, Service::fan_out), so a request
+// never starts threads of its own. The parent request's worker always
+// participates in the fan-out, so a saturated queue degrades to
+// single-worker throughput instead of deadlocking. Deflate output searches
+// at most a 32 KiB window, whatever the preset's dictionary.
 //
 // Robustness contract (see docs/SERVER.md "Failure semantics"):
 //  * Deadlines — with request_timeout_ms set, a watchdog thread fails
@@ -61,6 +63,7 @@
 #include <thread>
 #include <vector>
 
+#include "container/scheduler.hpp"
 #include "hw/compressor.hpp"
 #include "hw/config.hpp"
 #include "obs/trace.hpp"
@@ -103,7 +106,7 @@ enum class MatchBackend : std::uint8_t {
 struct ServiceConfig {
   unsigned workers = 2;                  ///< data-plane worker threads
   std::size_t queue_depth = 64;          ///< bounded MPMC queue capacity
-  unsigned large_engines = 4;            ///< MultiEngine width for large payloads
+  unsigned large_engines = 4;            ///< stripes per large payload
   std::size_t large_threshold = 1 << 18; ///< bytes; >= this stripes across engines
   /// COMPRESS_BLOCKED split size (clamped up to the dictionary size, see
   /// parallel/stripe.hpp); lzssd exposes it as --block-kb.
@@ -262,6 +265,12 @@ class Service {
                                                   const hw::HwConfig& cfg,
                                                   hw::Compressor* default_compressor);
   [[nodiscard]] ResponseFrame do_decompress_blocked(const RequestFrame& request);
+  /// Runs work(i) for every i in [0, blocks) on this worker and on helper
+  /// jobs of the pool (container::run_fanout), and records the helper and
+  /// reassembly metrics. Used by COMPRESS_BLOCKED, LZBC DECOMPRESS and the
+  /// stripes of a large COMPRESS.
+  void fan_out(std::size_t blocks, const container::BlockWork& work,
+               hw::Compressor* inline_engine);
   /// Offers a container sub-job to the bounded queue; false = queue full or
   /// stopping (the parent runs the blocks itself — BUSY per block).
   [[nodiscard]] bool try_enqueue_helper(std::function<void(hw::Compressor&)> work);

@@ -172,6 +172,36 @@ TEST(Archive, TypedErrorsOnMalformedTrailers) {
       EXPECT_EQ(e.kind(), ArchiveError::Kind::kTruncated);
     }
   }
+  // Hand-built trailers whose counts wrap 64-bit arithmetic: the reader must
+  // reject them before it reads past the buffer.
+  const auto trailer = [](std::size_t index_bytes, std::uint64_t entries,
+                          std::vector<std::uint64_t> index_words) {
+    std::vector<std::uint8_t> out(index_bytes, 0);
+    for (std::size_t w = 0; w < index_words.size(); ++w)
+      for (int b = 0; b < 8; ++b)
+        out[w * 8 + static_cast<std::size_t>(b)] =
+            static_cast<std::uint8_t>(index_words[w] >> (8 * b));
+    for (const std::uint64_t v : {entries, std::uint64_t{0}})
+      for (int b = 0; b < 8; ++b) out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+    const auto empty = ArchiveWriter().finish();
+    out.insert(out.end(), empty.end() - 4, empty.end());  // the magic
+    return out;
+  };
+  const auto kind_of = [](const std::vector<std::uint8_t>& bad) {
+    try {
+      ArchiveReader r{std::span<const std::uint8_t>(bad)};
+    } catch (const ArchiveError& e) {
+      return e.kind();
+    }
+    ADD_FAILURE() << "malformed trailer accepted";
+    return ArchiveError::Kind::kBadMagic;
+  };
+  // 68 bytes, entries = 2^61 + 2: entries * 24 wraps to 48.
+  EXPECT_EQ(kind_of(trailer(48, (std::uint64_t{1} << 61) + 2, {})),
+            ArchiveError::Kind::kTruncated);
+  // compressed_offset + compressed_size wraps to 1.
+  EXPECT_EQ(kind_of(trailer(24, 1, {~std::uint64_t{0}, 2, 0})),
+            ArchiveError::Kind::kBadIndex);
 }
 
 TEST(Archive, HardwareModelPathRoundtrips) {

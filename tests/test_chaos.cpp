@@ -32,6 +32,7 @@
 #include "fault/fault.hpp"
 #include "hw/pipeline.hpp"
 #include "lzss/raw_container.hpp"
+#include "obs/metrics.hpp"
 #include "server/frame.hpp"
 #include "server/service.hpp"
 #include "server/tcp.hpp"
@@ -669,6 +670,9 @@ TEST(Chaos, ScrubHitsCorruptionQuarantinesAndServesOn) {
   const auto segs = store::testutil::segment_files(dir.path);
   ASSERT_GT(segs.size(), 2u);
 
+  // The store reports into this registry until its destructor's last flush,
+  // so the registry must outlive the store as well as the service.
+  obs::Registry registry;
   store::LogStore log(dir.path, opt);  // clean open: the index is trusted
 
   // Silent bitrot after the open — only a scrub re-read can see it.
@@ -679,7 +683,9 @@ TEST(Chaos, ScrubHitsCorruptionQuarantinesAndServesOn) {
   store::testutil::spit(segs[1], image, image.size());
   const std::uint64_t damaged_seq = recs[1].sequence;
 
-  Service service(chaos_config());
+  ServiceConfig cfg = chaos_config();
+  cfg.registry = &registry;
+  Service service(cfg);
   log.bind_metrics(service.metrics(), nullptr);
   service.attach_store(&log);
   server::LoopbackClient client(service);

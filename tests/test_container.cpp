@@ -18,7 +18,6 @@ namespace {
 BlockCodecConfig small_blocks(std::size_t block_bytes = 16 * 1024) {
   BlockCodecConfig cfg;
   cfg.block_bytes = block_bytes;
-  cfg.threads = 4;
   return cfg;
 }
 

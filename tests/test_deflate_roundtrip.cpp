@@ -185,6 +185,17 @@ TEST(Inflate, StoredLenNlenMismatchRejected) {
   EXPECT_THROW((void)inflate_raw(stream), InflateError);
 }
 
+TEST(Inflate, LongRangeMatchesRoundTrip) {
+  // The second half repeats bytes 30 KiB back, so matches reach across
+  // nearly the whole 32 KiB window.
+  auto data = wl::make_corpus("wiki", 40 * 1024);
+  const std::vector<std::uint8_t> head(data.begin(), data.begin() + 30 * 1024);
+  data.insert(data.end(), head.begin(), head.end());
+  core::MatchParams p;
+  p.window_bits = 15;
+  EXPECT_EQ(zlib_decompress(zlib_compress(data, p.with_level(9))), data);
+}
+
 TEST(Inflate, DistanceTooFarRejected) {
   // A fixed block whose first token is a match cannot reference history.
   std::vector<core::Token> tokens{core::Token::match(4, 3)};

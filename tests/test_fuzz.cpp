@@ -258,7 +258,6 @@ TEST(FuzzServerFrame, RandomGarbageAndRandomChunkingNeverCrash) {
 container::BlockCodecConfig fuzz_container_config() {
   container::BlockCodecConfig cfg;
   cfg.block_bytes = 8 * 1024;
-  cfg.threads = 2;
   return cfg;
 }
 

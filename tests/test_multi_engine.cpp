@@ -56,6 +56,26 @@ TEST(MultiEngine, DeterministicAcrossRuns) {
   EXPECT_EQ(a.parallel_cycles, b.parallel_cycles);
 }
 
+TEST(MultiEngine, StripeRunnerDoesNotChangeTheStream) {
+  // The runner decides only where and in which order stripes run; here it
+  // runs them backwards, and the stitched stream must not notice.
+  const auto data = wl::make_corpus("mixed", 256 * 1024);
+  const auto plain = compress_multi_engine(hw::HwConfig::speed_optimized(), data, 5);
+  std::vector<std::size_t> order;
+  const auto reversed = compress_multi_engine(
+      hw::HwConfig::speed_optimized(), data, 5,
+      [&](std::size_t stripes, const std::function<void(std::size_t)>& run_stripe) {
+        for (std::size_t i = stripes; i-- > 0;) {
+          order.push_back(i);
+          run_stripe(i);
+        }
+      });
+  EXPECT_EQ(order, (std::vector<std::size_t>{4, 3, 2, 1, 0}));
+  EXPECT_EQ(reversed.deflate_stream, plain.deflate_stream);
+  EXPECT_EQ(reversed.parallel_cycles, plain.parallel_cycles);
+  EXPECT_EQ(reversed.serial_cycles, plain.serial_cycles);
+}
+
 TEST(MultiEngine, EngineCountClampedForTinyInputs) {
   const auto data = wl::make_corpus("wiki", 6 * 1024);  // < 2 dictionaries
   const auto report = compress_multi_engine(hw::HwConfig::speed_optimized(), data, 16);

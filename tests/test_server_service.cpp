@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -97,18 +98,65 @@ TEST(ServerService, DecompressOpcodeInvertsCompress) {
   }
 }
 
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
 TEST(ServerService, LargePayloadTakesTheMultiEnginePath) {
+  // Large COMPRESS stripes run on the worker pool's claim-pool fan-out,
+  // never on threads of their own.
   ServiceConfig cfg = small_config();
   cfg.large_threshold = 16 * 1024;  // force striping at a test-friendly size
   cfg.large_engines = 4;
+  obs::Registry registry;
+  cfg.registry = &registry;
   Service service(cfg);
   LoopbackClient client(service);
 
   const auto data = wl::make_corpus("wiki", 128 * 1024);
-  const auto resp = client.call(compress_request(9, data));
-  ASSERT_EQ(resp.status, Status::kOk);
-  // The striped stream is multi-block Deflate but still one valid zlib body.
-  EXPECT_EQ(deflate::zlib_decompress(resp.payload), data);
+  {
+    // Holding the parent out of the claim loop for a moment leaves the
+    // stripes to the idle worker's helper job.
+    fault::Spec delay;
+    delay.action = fault::Action::kDelay;
+    delay.delay_ms = 50;
+    delay.max_triggers = 1;
+    fault::ScopedFault guard("container.reassemble.delay", delay);
+    const auto resp = client.call(compress_request(9, data));
+    ASSERT_EQ(resp.status, Status::kOk);
+    // The striped stream is multi-block Deflate but still one valid zlib body.
+    EXPECT_EQ(deflate::zlib_decompress(resp.payload), data);
+  }
+  EXPECT_GT(registry.counter("container_helper_blocks_total").value(), 0u);
+
+  // Four clients keep both workers busy with large calls; the process's
+  // thread count never grows past what it was once the clients had started.
+  constexpr int kClients = 4;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      started.fetch_add(1);
+      for (int k = 0; k < 3; ++k) {
+        const auto resp = client.call(compress_request(static_cast<std::uint64_t>(t), data));
+        if (resp.status != Status::kOk || deflate::zlib_decompress(resp.payload) != data)
+          failures.fetch_add(1);
+      }
+      finished.fetch_add(1);
+    });
+  }
+  while (started.load() < kClients) std::this_thread::yield();
+  const std::size_t baseline = thread_count();
+  std::size_t peak = baseline;
+  while (finished.load() < kClients) peak = std::max(peak, thread_count());
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(peak, baseline);
 }
 
 TEST(ServerService, PingEchoesIdAndFlags) {
@@ -391,10 +439,10 @@ RequestFrame decompress_request(std::uint64_t id, std::vector<std::uint8_t> payl
 }
 
 TEST(ServerService, FarMatchesOfTheRatioPresetRoundTripThroughDecompress) {
-  // Preset 3 ("ratio") has a 64 KiB dictionary, so its encoders find matches
-  // farther back than the 32768 bytes a Deflate distance code reaches. Such
-  // a token stream cannot be Deflate-coded: every COMPRESS flavour must fall
-  // back to a stored form that DECOMPRESS inverts.
+  // Preset 3 ("ratio") has a 64 KiB dictionary, farther than the 32768 bytes
+  // a Deflate distance code reaches. For Deflate output the service searches
+  // a 32 KiB window instead, so every COMPRESS flavour still compresses, and
+  // DECOMPRESS inverts it.
   Service service(small_config());
   LoopbackClient client(service);
   auto data = wl::make_corpus("wiki", 96 * 1024);
@@ -412,6 +460,7 @@ TEST(ServerService, FarMatchesOfTheRatioPresetRoundTripThroughDecompress) {
     SCOPED_TRACE("request " + std::to_string(req.id));
     const auto packed = client.call(req);
     ASSERT_EQ(packed.status, Status::kOk);
+    EXPECT_LT(static_cast<double>(packed.payload.size()), 0.9 * static_cast<double>(data.size()));
     const auto restored = client.call(decompress_request(req.id + 10, packed.payload));
     EXPECT_EQ(restored.status, Status::kOk);
     EXPECT_EQ(restored.payload, data);

@@ -6,7 +6,7 @@
 //     --queue-depth <d>   bounded request queue; full => BUSY (default 64)
 //     --preset <name>     service default config from the estimator ladder
 //                         (speed | balanced | ratio | min-bram | baseline-2007)
-//     --large-engines <n> MultiEngine stripe width for large payloads (default 4)
+//     --large-engines <n> stripes per large payload, run on the worker pool (default 4)
 //     --threshold-kb <k>  payloads >= k KiB take the striped path (default 256)
 //     --block-kb <k>      COMPRESS_BLOCKED block size in KiB; blocks fan out
 //                         across the worker pool (default 256, docs/CONTAINER.md)
