@@ -10,12 +10,15 @@
 
 #include <iterator>
 #include <ostream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/checksum.hpp"
 #include "deflate/container.hpp"
 #include "deflate/encoder.hpp"
 #include "hw/compressor.hpp"
+#include "logger/archive.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "lzss/simd_compare.hpp"
 #include "lzss/token.hpp"
@@ -306,6 +309,84 @@ TEST(ServiceGolden, BlockedCompressIsFrozen) {
     EXPECT_EQ(checksum::crc32(call.response.payload), g.response_crc);
     EXPECT_EQ(call.response.payload.size(), g.response_size);
     EXPECT_EQ(call.cycles, g.cycles);
+  }
+}
+
+
+// The logger archive over 256 KiB of each corpus at seed 1 and 64 KiB
+// blocks (4 blocks), on the software path (dynamic Huffman) and through the
+// cycle model (fixed Huffman). payload_crc is the CRC-32 of every block's
+// Deflate stream concatenated in block order: it pins the compressed bytes
+// independently of the framing around them.
+struct ArchiveGolden {
+  const char* corpus;
+  bool use_hw_model;
+  std::uint32_t payload_crc;
+  std::size_t archive_size;
+};
+
+constexpr ArchiveGolden kArchiveGolden[] = {
+    {"wiki", false, 0x4E55AEA4, 115717}, {"wiki", true, 0xDAD8BFF9, 153646},
+    {"x2e", false, 0x497B826D, 137657},  {"x2e", true, 0x2C2693C7, 157971},
+    {"mixed", false, 0xFB8EFAEB, 136323}, {"mixed", true, 0xAD6166D0, 143341},
+};
+
+std::uint64_t le64_at(std::span<const std::uint8_t> bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[at + static_cast<std::size_t>(i)];
+  return v;
+}
+
+// Every block's Deflate stream, in order: each block is a zlib container
+// (2-byte header, 4-byte Adler-32 trailer) listed in the archive's index.
+std::vector<std::uint8_t> archive_payloads(std::span<const std::uint8_t> archive) {
+  const std::size_t entries = static_cast<std::size_t>(le64_at(archive, archive.size() - 20));
+  const std::size_t index_at = archive.size() - 20 - entries * 24;
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < entries; ++i) {
+    const auto z = archive.subspan(static_cast<std::size_t>(le64_at(archive, index_at + i * 24)),
+                                   static_cast<std::size_t>(le64_at(archive, index_at + i * 24 + 8)));
+    out.insert(out.end(), z.begin() + 2, z.end() - 4);
+  }
+  return out;
+}
+
+TEST(ArchiveGolden, BlockPayloadsAreFrozen) {
+  for (const ArchiveGolden& g : kArchiveGolden) {
+    SCOPED_TRACE(std::string(g.corpus) + (g.use_hw_model ? " hw" : " sw"));
+    logger::ArchiveOptions opt;
+    opt.block_bytes = 64 * 1024;
+    opt.use_hw_model = g.use_hw_model;
+    logger::ArchiveWriter writer(opt);
+    writer.append(wl::make_corpus(g.corpus, 256 * 1024));
+    const auto archive = writer.finish();
+    EXPECT_EQ(checksum::crc32(archive_payloads(archive)), g.payload_crc);
+    EXPECT_EQ(archive.size(), g.archive_size);
+  }
+}
+
+// deflate::zlib_compress with dynamic Huffman on the first n bytes of wiki
+// (seed 1): the bytes of one log-store record of that size.
+struct DynamicGolden {
+  std::size_t bytes;
+  std::uint32_t zlib_crc;
+  std::size_t zlib_size;
+};
+
+constexpr DynamicGolden kDynamicGolden[] = {
+    {64, 0xDE6603B3, 68},     {256, 0x80240F7E, 182},        {1024, 0x86A4DE8D, 600},
+    {4096, 0xD9334542, 2059}, {64 * 1024, 0x85C89514, 28845},
+};
+
+TEST(DynamicBlockGolden, StoreRecordBytesAreFrozen) {
+  const auto wiki = wl::make_corpus("wiki", 64 * 1024);
+  for (const DynamicGolden& g : kDynamicGolden) {
+    SCOPED_TRACE(g.bytes);
+    const auto z = deflate::zlib_compress(std::span(wiki).first(g.bytes),
+                                          core::MatchParams::speed_optimized(),
+                                          deflate::BlockKind::kDynamic);
+    EXPECT_EQ(checksum::crc32(z), g.zlib_crc);
+    EXPECT_EQ(z.size(), g.zlib_size);
   }
 }
 
