@@ -27,7 +27,15 @@ LZSSD="$BUILD_DIR/tools/lzssd"
 CLIENT="$BUILD_DIR/tools/lzss_client"
 LINT="$SOURCE_DIR/scripts/metrics_lint.py"
 
-fail() { echo "FAIL: $1" >&2; exit 1; }
+# Every failure shows the daemon's log: the workdir is deleted on exit.
+fail() {
+  echo "FAIL: $1" >&2
+  if [ -f "$WORK/lzssd.log" ]; then
+    echo "--- lzssd.log ---" >&2
+    cat "$WORK/lzssd.log" >&2
+  fi
+  exit 1
+}
 
 # Raw HTTP/1.0 GET via /dev/tcp: returns the response body on stdout.
 http_get() {
@@ -51,11 +59,21 @@ for _ in $(seq 1 50); do
   PORT=$(sed -n 's/.*listening on port \([0-9]*\).*/\1/p' "$WORK/lzssd.log" | head -n1)
   HTTP_PORT=$(sed -n 's|.*telemetry on http://127.0.0.1:\([0-9]*\).*|\1|p' "$WORK/lzssd.log" | head -n1)
   [ -n "$PORT" ] && [ -n "$HTTP_PORT" ] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died at startup: $(cat "$WORK/lzssd.log")"
+  kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died at startup"
   sleep 0.1
 done
 [ -n "$PORT" ] || fail "daemon never reported its data port"
 [ -n "$HTTP_PORT" ] || fail "daemon never reported its telemetry port"
+
+# A reported port is not yet proof of a served one: wait, with a bound, until
+# a PING round-trips on the data port before the first traced call.
+READY=""
+for _ in $(seq 1 50); do
+  if "$CLIENT" --port "$PORT" --retries 0 ping > /dev/null 2>&1; then READY=1; break; fi
+  kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died before serving"
+  sleep 0.1
+done
+[ -n "$READY" ] || fail "data port $PORT never answered a PING"
 
 # --- drive traced traffic ---------------------------------------------------
 head -c 65536 /dev/urandom > "$WORK/payload"
@@ -131,7 +149,7 @@ kill -TERM "$DAEMON_PID"
 RC=0
 wait "$DAEMON_PID" || RC=$?
 DAEMON_PID=""
-[ "$RC" -eq 0 ] || fail "daemon exited rc=$RC on SIGTERM: $(cat "$WORK/lzssd.log")"
+[ "$RC" -eq 0 ] || fail "daemon exited rc=$RC on SIGTERM"
 
 SPANS=$(wc -l < "$WORK/trace.jsonl")
 echo "observability smoke OK (trace $TRACE_ID, $SPANS live spans, metrics lint clean)"

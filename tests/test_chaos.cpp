@@ -269,7 +269,23 @@ void run_tcp_episode(const std::string& point, const fault::Spec& spec,
 /// must answer PING and a verified COMPRESS round trip. A service that died
 /// during the episode (all workers killed) must have been healed by the
 /// watchdog for this to pass.
+///
+/// The watchdog answers for a hung worker without stopping it, so a worker
+/// can still be sleeping in a delay fault or finishing a long job when the
+/// episode's last answer arrives. The check first waits, with a bound, for
+/// the queue and every worker to go idle: its COMPRESS must spend its
+/// request deadline on itself, not queued behind episode leftovers on a
+/// slow host.
 void expect_service_healthy(Service& service, const std::vector<std::uint8_t>& corpus) {
+  const obs::Gauge& busy = service.metrics().gauge("server_workers_busy");
+  const obs::Gauge& queued = service.metrics().gauge("server_queue_depth");
+  const auto idle_by = std::chrono::steady_clock::now() + kEpisodeTimeout;
+  while ((busy.value() != 0 || queued.value() != 0) &&
+         std::chrono::steady_clock::now() < idle_by)
+    std::this_thread::sleep_for(1ms);
+  ASSERT_EQ(busy.value(), 0) << "workers still busy after the episode";
+  ASSERT_EQ(queued.value(), 0) << "requests still queued after the episode";
+
   server::LoopbackClient client(service);
 
   RequestFrame ping;
