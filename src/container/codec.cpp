@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
-#include "common/bitio.hpp"
 #include "common/checksum.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
@@ -25,35 +27,10 @@ std::vector<std::uint8_t> stored_record(std::span<const std::uint8_t> raw, std::
 
 }  // namespace
 
-BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* reuse,
-                               std::span<const std::uint8_t> raw) {
+BlockEncodeResult block_record(std::span<const std::uint8_t> raw,
+                               std::span<const std::uint8_t> deflated) {
   BlockEncodeResult out;
   const std::uint32_t crc = checksum::crc32(raw);
-  std::vector<std::uint8_t> deflated;
-  try {
-    std::vector<core::Token> tokens;
-    if (reuse != nullptr) {
-      auto result = reuse->compress(raw);
-      out.census = result.stats;
-      tokens = std::move(result.tokens);
-    } else {
-      hw::Compressor ad_hoc(cfg);
-      auto result = ad_hoc.compress(raw);
-      out.census = result.stats;
-      tokens = std::move(result.tokens);
-    }
-    out.census_valid = true;
-    bits::BitWriter w;
-    deflate::write_fixed_block(w, tokens, /*final_block=*/true);
-    deflated = w.take();
-  } catch (const std::exception&) {
-    // Degradation, not error: a stored record always round-trips, so one
-    // failing block never fails the whole container.
-    out.stored = true;
-    out.census_valid = false;
-    out.record = stored_record(raw, crc);
-    return out;
-  }
   if (deflated.size() >= raw.size() && !raw.empty()) {
     // Incompressible: the stored form is never larger than raw + header.
     out.stored = true;
@@ -61,38 +38,70 @@ BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* reuse,
     return out;
   }
   out.record.reserve(kBlockHeaderSize + deflated.size());
-  append_block_header(out.record, Method::kDeflate, crc,
-                      static_cast<std::uint32_t>(raw.size()),
+  append_block_header(out.record, Method::kDeflate, crc, static_cast<std::uint32_t>(raw.size()),
                       static_cast<std::uint32_t>(deflated.size()));
   out.record.insert(out.record.end(), deflated.begin(), deflated.end());
   return out;
 }
 
+BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* reuse,
+                               std::span<const std::uint8_t> raw) {
+  hw::CycleStats census{};
+  std::vector<std::uint8_t> deflated;
+  try {
+    std::optional<hw::Compressor> ad_hoc;
+    if (reuse == nullptr) reuse = &ad_hoc.emplace(cfg);
+    const hw::CompressResult result = reuse->compress(raw);
+    census = result.stats;
+    deflated = deflate::deflate_fixed(result.tokens);
+  } catch (const std::exception&) {
+    // Degradation, not error: a stored record always round-trips, so one
+    // failing block never fails the whole container.
+    BlockEncodeResult out;
+    out.stored = true;
+    out.record = stored_record(raw, checksum::crc32(raw));
+    return out;
+  }
+  BlockEncodeResult out = block_record(raw, deflated);
+  out.census_valid = true;
+  out.census = census;
+  return out;
+}
+
 void decode_block(const BlockView& block, std::span<std::uint8_t> out) {
+  const auto fail = [&](ContainerError::Kind kind, const std::string& what) {
+    throw ContainerError(kind, "block " + std::to_string(block.index) + ": " + what,
+                         block.index);
+  };
   if (out.size() != block.raw_len)
-    throw ContainerError(ContainerError::Kind::kBadLength,
-                         "decode_block output span mismatches raw_len");
+    fail(ContainerError::Kind::kBadLength, "output span mismatches raw_len");
   std::vector<std::uint8_t> corrupted;
   std::span<const std::uint8_t> comp = block.comp;
   if (fault::corrupt_into("container.block.corrupt", block.comp, corrupted)) comp = corrupted;
 
   if (block.method == Method::kStored) {
     if (comp.size() != block.raw_len)
-      throw ContainerError(ContainerError::Kind::kBadLength,
-                           "stored block length mismatch");
+      fail(ContainerError::Kind::kBadLength, "stored length mismatch");
     std::memcpy(out.data(), comp.data(), comp.size());
   } else {
     // raw_len (validated against block_size during parse) is the hard
     // output cap: the per-block inflate bomb guard. A stream that wants
-    // more throws InflateBombError before the memory is committed.
-    const auto raw = deflate::inflate_raw(comp, block.raw_len);
+    // more fails, like any other malformed stream, before the memory is
+    // committed.
+    std::vector<std::uint8_t> raw;
+    try {
+      raw = deflate::inflate_raw(comp, block.raw_len);
+    } catch (const deflate::InflateError& e) {
+      fail(ContainerError::Kind::kBadStream, e.what());
+    } catch (const std::out_of_range&) {
+      fail(ContainerError::Kind::kBadStream, "Deflate stream ends early");
+    }
     if (raw.size() != block.raw_len)
-      throw ContainerError(ContainerError::Kind::kBadLength,
-                           "block inflated to the wrong length");
+      fail(ContainerError::Kind::kBadLength, "inflated to the wrong length");
     std::memcpy(out.data(), raw.data(), raw.size());
   }
   if (checksum::crc32(out) != block.crc32)
-    throw ContainerError(ContainerError::Kind::kCrcMismatch, "block CRC-32 mismatch");
+    fail(ContainerError::Kind::kCrcMismatch, "CRC-32 mismatch");
 }
 
 std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,

@@ -48,16 +48,24 @@ struct BlockEncodeResult {
   hw::CycleStats census{};
 };
 
-/// Compresses one raw block into a full LZBC block record. @p reuse is a
-/// caller-owned model instance to recycle (a service worker's engine); pass
-/// null to construct one ad hoc for @p cfg.
+/// Frames @p deflated, one final Deflate stream of @p raw, as a deflate
+/// block record, or @p raw as a stored record when @p deflated does not
+/// shrink it. Every block encoder ends here; the census is left unset.
+[[nodiscard]] BlockEncodeResult block_record(std::span<const std::uint8_t> raw,
+                                             std::span<const std::uint8_t> deflated);
+
+/// Compresses one raw block through the cycle model into a full LZBC block
+/// record (fixed Huffman). @p reuse is a caller-owned model instance to
+/// recycle (a service worker's engine); pass null to construct one ad hoc
+/// for @p cfg.
 [[nodiscard]] BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* reuse,
                                              std::span<const std::uint8_t> raw);
 
 /// Decodes one parsed block into @p out, which must be exactly raw_len
 /// bytes (the caller carves it out of the preallocated output at
 /// block.raw_offset — disjoint slices, so blocks decode concurrently).
-/// Throws ContainerError (kCrcMismatch / kBadLength) or deflate::InflateError.
+/// Throws ContainerError (kBadStream / kCrcMismatch / kBadLength) naming
+/// block.index.
 /// Fault point "container.block.corrupt" flips bits in the compressed view.
 void decode_block(const BlockView& block, std::span<std::uint8_t> out);
 

@@ -2,37 +2,15 @@
 
 #include <cstring>
 
+#include "common/byte_order.hpp"
+
 namespace lzss::container {
 
 namespace {
 
-void put_le16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_le32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-[[noreturn]] void fail(ContainerError::Kind kind, const std::string& what) {
-  throw ContainerError(kind, what);
+[[noreturn]] void fail(ContainerError::Kind kind, const std::string& what,
+                       std::size_t block = ContainerError::kNoBlock) {
+  throw ContainerError(kind, what, block);
 }
 
 }  // namespace
@@ -93,12 +71,16 @@ SuperframeView parse(std::span<const std::uint8_t> bytes, std::size_t max_raw_to
   if (view.block_size == 0 || view.block_size > kMaxBlockSize)
     fail(ContainerError::Kind::kBadBlockSize,
          "block_size " + std::to_string(view.block_size));
-  // The count must match the fixed split exactly; this also bounds it by
-  // raw_total (<= max_raw_total), so a hostile count cannot drive the
-  // blocks vector's allocation.
+  // The count must match the fixed split exactly.
   if (block_count != block_count_for(view.raw_total, view.block_size))
     fail(ContainerError::Kind::kBadLength,
          "block_count inconsistent with raw_total / block_size");
+
+  // Each block needs at least its header, so the bytes bound the count
+  // before it sizes the reservation below. raw_total alone does not: with
+  // block_size 1 and no cap it allows a count of 2^32 - 1.
+  if (block_count > (bytes.size() - kSuperframeHeaderSize) / kBlockHeaderSize)
+    fail(ContainerError::Kind::kTruncated, "block_count exceeds what the bytes can hold");
 
   view.blocks.reserve(block_count);
   std::size_t off = kSuperframeHeaderSize;
@@ -106,18 +88,19 @@ SuperframeView parse(std::span<const std::uint8_t> bytes, std::size_t max_raw_to
   for (std::uint32_t i = 0; i < block_count; ++i) {
     if (bytes.size() - off < kBlockHeaderSize)
       fail(ContainerError::Kind::kTruncated,
-           "block " + std::to_string(i) + " header truncated");
+           "block " + std::to_string(i) + " header truncated", i);
     const std::uint8_t* h = bytes.data() + off;
     BlockView block;
+    block.index = i;
     const std::uint32_t comp_len = get_le32(h);
     block.raw_len = get_le32(h + 4);
     if (h[8] > static_cast<std::uint8_t>(Method::kStored))
       fail(ContainerError::Kind::kBadMethod,
-           "block " + std::to_string(i) + " method " + std::to_string(h[8]));
+           "block " + std::to_string(i) + " method " + std::to_string(h[8]), i);
     block.method = static_cast<Method>(h[8]);
     if (h[9] != 0 || h[10] != 0 || h[11] != 0)
       fail(ContainerError::Kind::kBadMethod,
-           "block " + std::to_string(i) + " reserved bytes set");
+           "block " + std::to_string(i) + " reserved bytes set", i);
     block.crc32 = get_le32(h + 12);
 
     // Fixed split: every block is exactly block_size except a shorter (but
@@ -126,17 +109,17 @@ SuperframeView parse(std::span<const std::uint8_t> bytes, std::size_t max_raw_to
     const bool last = i + 1 == block_count;
     if (!last && block.raw_len != view.block_size)
       fail(ContainerError::Kind::kBadLength,
-           "block " + std::to_string(i) + " raw_len not block_size");
+           "block " + std::to_string(i) + " raw_len not block_size", i);
     if (last && (block.raw_len == 0 || block.raw_len > view.block_size))
-      fail(ContainerError::Kind::kBadLength, "final block raw_len out of range");
+      fail(ContainerError::Kind::kBadLength, "final block raw_len out of range", i);
     if (block.method == Method::kStored && comp_len != block.raw_len)
       fail(ContainerError::Kind::kBadLength,
-           "stored block " + std::to_string(i) + " comp_len != raw_len");
+           "stored block " + std::to_string(i) + " comp_len != raw_len", i);
 
     off += kBlockHeaderSize;
     if (bytes.size() - off < comp_len)
       fail(ContainerError::Kind::kTruncated,
-           "block " + std::to_string(i) + " payload truncated");
+           "block " + std::to_string(i) + " payload truncated", i);
     block.comp = bytes.subspan(off, comp_len);
     block.raw_offset = static_cast<std::size_t>(raw_sum);
     raw_sum += block.raw_len;

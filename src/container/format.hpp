@@ -57,6 +57,8 @@ enum class Method : std::uint8_t {
 
 /// Typed parse/decode failure. kTooLarge is the caller-cap violation (maps
 /// to the service's TOO_LARGE status); everything else maps to CORRUPT.
+/// `block()` names the block record at fault, or is kNoBlock when the
+/// superframe itself is.
 class ContainerError : public std::runtime_error {
  public:
   enum class Kind : std::uint8_t {
@@ -69,14 +71,19 @@ class ContainerError : public std::runtime_error {
     kCrcMismatch,      ///< a block's raw bytes failed their CRC-32
     kTooLarge,         ///< raw_total exceeds the caller's output cap
     kTrailingGarbage,  ///< bytes after the last block record
+    kBadStream,        ///< a block's Deflate stream failed to inflate
   };
 
-  ContainerError(Kind kind, const std::string& what)
-      : std::runtime_error("LZBC: " + what), kind_(kind) {}
+  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+
+  ContainerError(Kind kind, const std::string& what, std::size_t block = kNoBlock)
+      : std::runtime_error("LZBC: " + what), kind_(kind), block_(block) {}
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
+  [[nodiscard]] std::size_t block() const noexcept { return block_; }
 
  private:
   Kind kind_;
+  std::size_t block_;
 };
 
 /// One parsed block record; `comp` views into the parsed buffer.
@@ -85,6 +92,7 @@ struct BlockView {
   std::uint32_t raw_len = 0;
   std::uint32_t crc32 = 0;
   Method method = Method::kDeflate;
+  std::size_t index = 0;       ///< position in the container, for typed errors
   std::size_t raw_offset = 0;  ///< where this block's bytes land in the output
 };
 

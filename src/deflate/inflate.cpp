@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/bitio.hpp"
+#include "common/byte_order.hpp"
 #include "common/checksum.hpp"
 #include "deflate/fixed_tables.hpp"
 #include "deflate/huffman.hpp"
@@ -192,12 +193,9 @@ std::vector<std::uint8_t> gzip_decompress(std::span<const std::uint8_t> stream,
 
   auto out = inflate_raw(stream.subspan(pos, stream.size() - pos - 8), max_output);
   const std::size_t t = stream.size() - 8;
-  auto le32 = [&](std::size_t i) {
-    return std::uint32_t{stream[i]} | (std::uint32_t{stream[i + 1]} << 8) |
-           (std::uint32_t{stream[i + 2]} << 16) | (std::uint32_t{stream[i + 3]} << 24);
-  };
-  if (checksum::crc32(out) != le32(t)) throw InflateError("gzip: CRC-32 mismatch");
-  if (static_cast<std::uint32_t>(out.size()) != le32(t + 4))
+  if (checksum::crc32(out) != get_le32(stream.data() + t))
+    throw InflateError("gzip: CRC-32 mismatch");
+  if (static_cast<std::uint32_t>(out.size()) != get_le32(stream.data() + t + 4))
     throw InflateError("gzip: ISIZE mismatch");
   return out;
 }

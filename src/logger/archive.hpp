@@ -3,63 +3,38 @@
 // The paper motivates the compressor with embedded logging; its related
 // work ([6], Kreft & Navarro) highlights the other half of the problem:
 // random access into compressed data. A plain zlib stream must be inflated
-// from byte 0 to read its tail — useless for a 1 TB log. This archive
-// format compresses the stream in independent fixed-size blocks (each its
-// own zlib container, so the dictionary resets per block) and appends a
-// block index, giving O(1) seeks at a small, measurable ratio cost.
+// from byte 0 to read its tail — useless for a 1 TB log. The archive
+// compresses the stream in independent fixed-size blocks (the dictionary
+// resets per block), giving O(1) seeks at a small, measurable ratio cost.
 //
-// Layout:
-//   per block:  zlib container (RFC 1950) of one block's bytes
-//   trailer:    index entries { compressed_offset u64, compressed_size u64,
-//               uncompressed_size u64 } ... , then
-//               index_entry_count u64, total_uncompressed u64,
-//               magic "LZSA" (4 bytes) — trailer is parsed from the end.
+// An archive is a plain LZBC container (container/format.hpp), the same
+// bytes `lzssd` DECOMPRESS and VERIFY accept and COMPRESS_BLOCKED returns.
+// LZBC's fixed split is the seek index: the block holding raw offset `o` is
+// `o / block_size`, and each record carries its lengths and a CRC-32 of its
+// raw bytes. The software path writes dynamic-Huffman blocks; the cycle-model
+// path writes the model's fixed-Huffman blocks. A block Deflate does not
+// shrink is stored.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
+#include "container/format.hpp"
 #include "lzss/params.hpp"
 
 namespace lzss::logger {
 
-/// Typed archive failure. Derives std::runtime_error so pre-existing catch
-/// sites keep working; `kind()` distinguishes a malformed trailer from a
-/// block whose compressed bytes rotted (Adler-32 / structural mismatch on
-/// inflate). `block()` names the offending block for kBlockCorrupt.
-class ArchiveError : public std::runtime_error {
- public:
-  enum class Kind : std::uint8_t {
-    kTruncated,     ///< archive shorter than its own trailer claims
-    kBadMagic,      ///< trailer magic missing
-    kBadIndex,      ///< index entries inconsistent with the payload
-    kBlockCorrupt,  ///< a block failed its checksum or inflated wrong
-  };
-
-  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
-
-  ArchiveError(Kind kind, const std::string& what, std::size_t block = kNoBlock)
-      : std::runtime_error(what), kind_(kind), block_(block) {}
-
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] std::size_t block() const noexcept { return block_; }
-
- private:
-  Kind kind_;
-  std::size_t block_;
-};
-
 struct ArchiveOptions {
   core::MatchParams params = core::MatchParams::speed_optimized();
-  std::size_t block_bytes = 256 * 1024;  ///< seek granularity
+  std::size_t block_bytes = 256 * 1024;  ///< seek granularity, 1..kMaxBlockSize
   bool use_hw_model = false;  ///< compress blocks through the cycle model
 };
 
 /// Builds an archive incrementally.
 class ArchiveWriter {
  public:
+  /// Throws std::invalid_argument unless 0 < block_bytes <= kMaxBlockSize.
   explicit ArchiveWriter(ArchiveOptions options = {});
 
   /// Appends log bytes; complete blocks are compressed immediately.
@@ -75,56 +50,37 @@ class ArchiveWriter {
 
   ArchiveOptions opt_;
   std::vector<std::uint8_t> pending_;
-  std::vector<std::uint8_t> out_;
-  struct IndexEntry {
-    std::uint64_t compressed_offset;
-    std::uint64_t compressed_size;
-    std::uint64_t uncompressed_size;
-  };
-  std::vector<IndexEntry> index_;
+  std::vector<std::uint8_t> out_;  ///< header placeholder, then block records
+  std::uint32_t blocks_ = 0;
   std::size_t total_in_ = 0;
 };
 
-/// Random access over a finished archive.
+/// Random access over a finished archive, or over any LZBC container. Views
+/// into @p archive, which must outlive the reader.
 class ArchiveReader {
  public:
-  /// Parses the trailer; throws ArchiveError on malformed archives.
+  /// Parses the container; throws container::ContainerError when malformed.
   explicit ArchiveReader(std::span<const std::uint8_t> archive);
 
-  [[nodiscard]] std::uint64_t uncompressed_size() const noexcept { return total_; }
-  [[nodiscard]] std::size_t block_count() const noexcept { return index_.size(); }
+  [[nodiscard]] std::uint64_t uncompressed_size() const noexcept { return view_.raw_total; }
+  [[nodiscard]] std::size_t block_count() const noexcept { return view_.blocks.size(); }
 
-  /// Reads @p length bytes starting at uncompressed @p offset, inflating
-  /// only the blocks that overlap the range. A block whose compressed bytes
-  /// fail to inflate or mismatch their Adler-32 / indexed size throws a
-  /// typed ArchiveError (kBlockCorrupt) — never silently returns garbage.
+  /// Reads @p length bytes starting at uncompressed @p offset, decoding only
+  /// the blocks that overlap the range. A damaged block throws
+  /// container::ContainerError naming it — never silently returns garbage.
   [[nodiscard]] std::vector<std::uint8_t> read(std::uint64_t offset, std::size_t length) const;
 
-  /// Full-scan integrity check: inflates every block and validates its
-  /// checksum and indexed size. Returns the number of blocks verified;
-  /// throws ArchiveError (kBlockCorrupt, with the block index) on the first
-  /// damaged block.
+  /// Full-scan integrity check: decodes every block. Returns the number of
+  /// blocks verified; throws container::ContainerError, naming the block, on
+  /// the first damaged one.
   std::size_t verify() const;
 
-  /// Number of blocks the last read() had to inflate (exposed so tests can
+  /// Number of blocks the last read() had to decode (exposed so tests can
   /// prove reads are local, i.e. the format actually delivers seekability).
   [[nodiscard]] std::size_t last_blocks_touched() const noexcept { return touched_; }
 
  private:
-  struct IndexEntry {
-    std::uint64_t compressed_offset;
-    std::uint64_t compressed_size;
-    std::uint64_t uncompressed_offset;
-    std::uint64_t uncompressed_size;
-  };
-
-  /// Inflates block @p block_index with checksum + size validation; throws
-  /// ArchiveError(kBlockCorrupt) on damage.
-  [[nodiscard]] std::vector<std::uint8_t> inflate_block(std::size_t block_index) const;
-
-  std::span<const std::uint8_t> archive_;
-  std::vector<IndexEntry> index_;
-  std::uint64_t total_ = 0;
+  container::SuperframeView view_;
   mutable std::size_t touched_ = 0;
 };
 

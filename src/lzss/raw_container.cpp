@@ -1,5 +1,6 @@
 #include "lzss/raw_container.hpp"
 
+#include "common/byte_order.hpp"
 #include "lzss/decoder.hpp"
 
 namespace lzss::core {
@@ -7,16 +8,6 @@ namespace {
 
 constexpr std::uint8_t kMagic[4] = {'L', 'Z', 'S', '1'};
 constexpr std::size_t kHeaderBytes = 4 + 1 + 8 + 8;
-
-void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int s = 0; s < 64; s += 8) out.push_back(static_cast<std::uint8_t>((v >> s) & 0xFF));
-}
-
-std::uint64_t get_le64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int s = 0; s < 8; ++s) v |= static_cast<std::uint64_t>(in[at + s]) << (8 * s);
-  return v;
-}
 
 }  // namespace
 
@@ -44,8 +35,8 @@ RawHeader raw_container_header(std::span<const std::uint8_t> c) {
   h.window_bits = c[4];
   if (h.window_bits < 8 || h.window_bits > 20)
     throw DecodeError("raw container: implausible window");
-  h.original_size = get_le64(c, 5);
-  h.token_count = get_le64(c, 13);
+  h.original_size = get_le64(c.data() + 5);
+  h.token_count = get_le64(c.data() + 13);
   return h;
 }
 

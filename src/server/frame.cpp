@@ -3,41 +3,14 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/byte_order.hpp"
+
 namespace lzss::server {
 
 namespace {
 
 constexpr std::uint8_t kRequestMagic[4] = {'L', 'Z', 'R', 'Q'};
 constexpr std::uint8_t kResponseMagic[4] = {'L', 'Z', 'R', 'S'};
-
-void put_le16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t get_le16(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
-}
-
-std::uint32_t get_le32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 }  // namespace
 

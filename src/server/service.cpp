@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/bitio.hpp"
+#include "common/byte_order.hpp"
 #include "common/checksum.hpp"
 #include "container/codec.hpp"
 #include "container/format.hpp"
@@ -602,8 +603,7 @@ ResponseFrame Service::do_log_append(const RequestFrame& request) {
   try {
     const std::uint64_t seq = store_->append(request.payload);
     resp.adler = checksum::adler32(request.payload);
-    for (int i = 0; i < 8; ++i)
-      resp.payload.push_back(static_cast<std::uint8_t>(seq >> (8 * i)));
+    put_le64(resp.payload, seq);
   } catch (const store::IoError&) {
     // Disk failure: the record was NOT appended (LogStore's contract) — the
     // client may retry without creating a duplicate.
@@ -624,8 +624,7 @@ ResponseFrame Service::do_log_read(const RequestFrame& request) {
     resp.status = Status::kBadRequest;
     return resp;
   }
-  std::uint64_t seq = 0;
-  for (int i = 7; i >= 0; --i) seq = (seq << 8) | request.payload[static_cast<std::size_t>(i)];
+  const std::uint64_t seq = get_le64(request.payload.data());
   try {
     resp.payload = store_->read(seq);
     resp.adler = checksum::adler32(resp.payload);
@@ -652,9 +651,7 @@ ResponseFrame Service::do_scrub(const RequestFrame& request) {
   if (request.payload.empty()) {
     ids = store_->sealed_segment_ids();
   } else if (request.payload.size() == 8) {
-    std::uint64_t id = 0;
-    for (int i = 7; i >= 0; --i) id = (id << 8) | request.payload[static_cast<std::size_t>(i)];
-    ids.push_back(id);
+    ids.push_back(get_le64(request.payload.data()));
   } else {
     resp.status = Status::kBadRequest;
     return resp;
@@ -712,11 +709,8 @@ ResponseFrame Service::do_verify(const RequestFrame& request) {
       resp.status = Status::kBadRequest;
       return resp;
     }
-    std::uint64_t first = 0, count = 0;
-    for (int i = 7; i >= 0; --i)
-      first = (first << 8) | request.payload[static_cast<std::size_t>(i)];
-    for (int i = 7; i >= 0; --i)
-      count = (count << 8) | request.payload[static_cast<std::size_t>(8 + i)];
+    const std::uint64_t first = get_le64(request.payload.data());
+    const std::uint64_t count = get_le64(request.payload.data() + 8);
     constexpr std::uint64_t kMaxVerifyRecords = 65536;
     if (count == 0 || count > kMaxVerifyRecords) {
       resp.status = Status::kBadRequest;

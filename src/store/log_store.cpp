@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/byte_order.hpp"
 #include "common/checksum.hpp"
 #include "deflate/container.hpp"
 #include "deflate/inflate.hpp"
@@ -31,26 +32,6 @@ constexpr const char* kIndexTmpName = "index.lzsx.tmp";
 /// Compaction's staging suffix. list_segments' exact-name match ignores it,
 /// so a crash before the rename leaves only the old image visible.
 constexpr const char* kCompactionTmpSuffix = ".cmp";
-
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_le32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 std::vector<std::uint8_t> encode_segment_header(std::uint64_t id, std::uint64_t base_sequence) {
   std::vector<std::uint8_t> out;

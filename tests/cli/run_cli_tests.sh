@@ -34,9 +34,9 @@ cmp "$WORK/input" "$WORK/back2" || fail "gzip roundtrip"
 cmp "$WORK/input" "$WORK/back3" || fail "hw roundtrip"
 
 # --- lzsszip: seekable archive format --------------------------------------
-"$LZSSZIP" -f archive -b 64 -l 6 "$WORK/input" "$WORK/out.lzsa" | grep -q archive \
+"$LZSSZIP" -f archive -b 64 -l 6 "$WORK/input" "$WORK/out.lzbc" | grep -q archive \
   || fail "archive compress"
-"$LZSSZIP" -d "$WORK/out.lzsa" "$WORK/back4" | grep -q archive || fail "archive detect"
+"$LZSSZIP" -d "$WORK/out.lzbc" "$WORK/back4" | grep -q archive || fail "archive detect"
 cmp "$WORK/input" "$WORK/back4" || fail "archive roundtrip"
 
 # --- lzsszip: bad usage exits nonzero -------------------------------------

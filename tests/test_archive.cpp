@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "container/codec.hpp"
+#include "container/format.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::logger {
@@ -90,19 +92,32 @@ TEST(Archive, OutOfRangeReadsRejected) {
 
 TEST(Archive, MalformedArchivesRejected) {
   const auto data = wl::make_corpus("wiki", 10 * 1024);
-  auto a = build(data);
+  const auto a = build(data);
+  const auto kind_of = [](const std::vector<std::uint8_t>& bad) {
+    try {
+      ArchiveReader r{std::span<const std::uint8_t>(bad)};
+    } catch (const container::ContainerError& e) {
+      return e.kind();
+    }
+    ADD_FAILURE() << "malformed archive accepted";
+    return container::ContainerError::Kind::kTooLarge;
+  };
   {
     auto bad = a;
-    bad.back() = 'X';  // magic
-    EXPECT_THROW(ArchiveReader{std::span<const std::uint8_t>(bad)}, std::runtime_error);
+    bad[0] = 'X';  // magic
+    EXPECT_EQ(kind_of(bad), container::ContainerError::Kind::kBadMagic);
   }
   {
     auto bad = a;
-    bad[bad.size() - 13] ^= 0x01;  // total size field
-    EXPECT_THROW(ArchiveReader{std::span<const std::uint8_t>(bad)}, std::runtime_error);
+    bad[16] ^= 0x01;  // raw_total no longer matches the block lengths
+    EXPECT_EQ(kind_of(bad), container::ContainerError::Kind::kBadLength);
   }
-  const std::vector<std::uint8_t> tiny{1, 2, 3};
-  EXPECT_THROW(ArchiveReader{std::span<const std::uint8_t>(tiny)}, std::runtime_error);
+  {
+    auto bad = a;
+    bad.pop_back();  // last block's payload cut short
+    EXPECT_EQ(kind_of(bad), container::ContainerError::Kind::kTruncated);
+  }
+  EXPECT_EQ(kind_of({1, 2, 3}), container::ContainerError::Kind::kTruncated);
 }
 
 TEST(Archive, VerifyScansEveryBlockOfCleanArchive) {
@@ -120,16 +135,20 @@ TEST(Archive, CorruptBlockYieldsTypedErrorWithBlockIndex) {
   opt.block_bytes = 64 * 1024;
   auto a = build(data, opt);
   // Flip a bit mid-archive: lands in some block's compressed bytes, where
-  // the per-block Adler-32 (or the deflate structure itself) must catch it.
+  // the per-block CRC-32 (or the deflate structure itself) must catch it.
   a[a.size() / 2] ^= 0x10;
-  ArchiveReader r(a);  // trailer + index are intact; construction succeeds
+  ArchiveReader r(a);  // the headers are intact; construction succeeds
 
-  std::size_t bad_block = ArchiveError::kNoBlock;
+  using Kind = container::ContainerError::Kind;
+  const auto is_block_damage = [](Kind k) {
+    return k == Kind::kBadStream || k == Kind::kCrcMismatch || k == Kind::kBadLength;
+  };
+  std::size_t bad_block = container::ContainerError::kNoBlock;
   try {
     (void)r.read(0, data.size());
     FAIL() << "corrupted archive read back silently";
-  } catch (const ArchiveError& e) {
-    EXPECT_EQ(e.kind(), ArchiveError::Kind::kBlockCorrupt);
+  } catch (const container::ContainerError& e) {
+    EXPECT_TRUE(is_block_damage(e.kind())) << e.what();
     bad_block = e.block();
   }
   ASSERT_LT(bad_block, r.block_count());
@@ -138,8 +157,8 @@ TEST(Archive, CorruptBlockYieldsTypedErrorWithBlockIndex) {
   try {
     (void)r.verify();
     FAIL() << "verify() passed a corrupted archive";
-  } catch (const ArchiveError& e) {
-    EXPECT_EQ(e.kind(), ArchiveError::Kind::kBlockCorrupt);
+  } catch (const container::ContainerError& e) {
+    EXPECT_TRUE(is_block_damage(e.kind())) << e.what();
     EXPECT_EQ(e.block(), bad_block);
   }
 
@@ -150,58 +169,30 @@ TEST(Archive, CorruptBlockYieldsTypedErrorWithBlockIndex) {
   EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + static_cast<long>(off)));
 }
 
-TEST(Archive, TypedErrorsOnMalformedTrailers) {
-  const auto data = wl::make_corpus("wiki", 10 * 1024);
-  const auto a = build(data);
-  {
-    auto bad = a;
-    bad.back() = 'X';
-    try {
-      ArchiveReader r{std::span<const std::uint8_t>(bad)};
-      FAIL() << "bad magic accepted";
-    } catch (const ArchiveError& e) {
-      EXPECT_EQ(e.kind(), ArchiveError::Kind::kBadMagic);
-    }
-  }
-  {
-    const std::vector<std::uint8_t> tiny{1, 2, 3};
-    try {
-      ArchiveReader r{std::span<const std::uint8_t>(tiny)};
-      FAIL() << "3-byte archive accepted";
-    } catch (const ArchiveError& e) {
-      EXPECT_EQ(e.kind(), ArchiveError::Kind::kTruncated);
-    }
-  }
-  // Hand-built trailers whose counts wrap 64-bit arithmetic: the reader must
-  // reject them before it reads past the buffer.
-  const auto trailer = [](std::size_t index_bytes, std::uint64_t entries,
-                          std::vector<std::uint64_t> index_words) {
-    std::vector<std::uint8_t> out(index_bytes, 0);
-    for (std::size_t w = 0; w < index_words.size(); ++w)
-      for (int b = 0; b < 8; ++b)
-        out[w * 8 + static_cast<std::size_t>(b)] =
-            static_cast<std::uint8_t>(index_words[w] >> (8 * b));
-    for (const std::uint64_t v : {entries, std::uint64_t{0}})
-      for (int b = 0; b < 8; ++b) out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-    const auto empty = ArchiveWriter().finish();
-    out.insert(out.end(), empty.end() - 4, empty.end());  // the magic
-    return out;
-  };
-  const auto kind_of = [](const std::vector<std::uint8_t>& bad) {
-    try {
-      ArchiveReader r{std::span<const std::uint8_t>(bad)};
-    } catch (const ArchiveError& e) {
-      return e.kind();
-    }
-    ADD_FAILURE() << "malformed trailer accepted";
-    return ArchiveError::Kind::kBadMagic;
-  };
-  // 68 bytes, entries = 2^61 + 2: entries * 24 wraps to 48.
-  EXPECT_EQ(kind_of(trailer(48, (std::uint64_t{1} << 61) + 2, {})),
-            ArchiveError::Kind::kTruncated);
-  // compressed_offset + compressed_size wraps to 1.
-  EXPECT_EQ(kind_of(trailer(24, 1, {~std::uint64_t{0}, 2, 0})),
-            ArchiveError::Kind::kBadIndex);
+TEST(Archive, IsAnLzbcContainer) {
+  // No trailer: the archive is the superframe header plus one record per
+  // block, so any LZBC decoder reads it whole.
+  const auto data = wl::make_corpus("x2e", 100 * 1024);
+  ArchiveOptions opt;
+  opt.block_bytes = 32 * 1024;
+  const auto a = build(data, opt);
+  ASSERT_TRUE(container::looks_like_container(a));
+  EXPECT_EQ(container::block_decompress(a, data.size()), data);
+  const auto view = container::parse(a, data.size());
+  EXPECT_EQ(view.block_size, opt.block_bytes);
+  std::size_t size = container::kSuperframeHeaderSize;
+  for (const auto& b : view.blocks) size += container::kBlockHeaderSize + b.comp.size();
+  EXPECT_EQ(size, a.size());
+}
+
+TEST(Archive, BlockSizeBeyondTheLzbcLimitRejected) {
+  ArchiveOptions opt;
+  opt.block_bytes = container::kMaxBlockSize;
+  EXPECT_NO_THROW(ArchiveWriter{opt});
+  opt.block_bytes = std::size_t{container::kMaxBlockSize} + 1;
+  EXPECT_THROW(ArchiveWriter{opt}, std::invalid_argument);
+  opt.block_bytes = 0;
+  EXPECT_THROW(ArchiveWriter{opt}, std::invalid_argument);
 }
 
 TEST(Archive, HardwareModelPathRoundtrips) {

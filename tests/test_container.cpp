@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "common/checksum.hpp"
@@ -59,6 +60,21 @@ TEST(ContainerFormat, EmptyInputIsHeaderOnly) {
   EXPECT_EQ(view.raw_total, 0u);
   EXPECT_TRUE(view.blocks.empty());
   EXPECT_TRUE(block_decompress(packed, 0).empty());
+}
+
+TEST(ContainerFormat, BlockCountBeyondTheBytesIsTruncatedBeforeAllocating) {
+  // block_size 1 and block_count = raw_total = 2^32 - 1 satisfy the fixed
+  // split, but 24 bytes hold no block header. Parsed without a cap, the
+  // count alone would reserve 2^32 - 1 block views (160 GiB).
+  std::vector<std::uint8_t> header;
+  append_superframe_header(header, 1, 0xFFFFFFFFu, 0xFFFFFFFFu);
+  EXPECT_EQ(parse_kind(header, std::numeric_limits<std::size_t>::max()),
+            ContainerError::Kind::kTruncated);
+  // One header short of the count is truncation too.
+  header.clear();
+  append_superframe_header(header, 1, 3, 3);
+  header.resize(kSuperframeHeaderSize + 2 * kBlockHeaderSize);
+  EXPECT_EQ(parse_kind(header), ContainerError::Kind::kTruncated);
 }
 
 TEST(ContainerFormat, ParseRejectsEveryHeaderMutation) {

@@ -24,6 +24,7 @@
 #include "container/format.hpp"
 #include "deflate/inflate.hpp"
 #include "fault/fault.hpp"
+#include "logger/archive.hpp"
 #include "lzss/raw_container.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -575,6 +576,42 @@ TEST(ServerContainer, RawTotalBeyondPayloadCapAnswersTooLarge) {
   const auto resp = client.call(decompress_request(1, std::move(bomb)));
   EXPECT_EQ(resp.status, Status::kTooLarge);
   EXPECT_TRUE(resp.payload.empty());
+}
+
+TEST(ServerContainer, LoggerArchiveIsOneBlockFormatWithTheWire) {
+  // An archive file is a DECOMPRESS and VERIFY payload as it stands, and the
+  // archive reader seeks inside a COMPRESS_BLOCKED reply.
+  Service service(small_config());
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("x2e", 200 * 1024);
+  logger::ArchiveOptions opt;
+  opt.block_bytes = 64 * 1024;
+  logger::ArchiveWriter writer(opt);
+  writer.append(data);
+  const auto archive = writer.finish();
+
+  const auto restored = client.call(decompress_request(1, archive));
+  ASSERT_EQ(restored.status, Status::kOk);
+  EXPECT_EQ(restored.payload, data);
+  EXPECT_EQ(restored.adler, checksum::adler32(data));
+
+  RequestFrame verify;
+  verify.id = 2;
+  verify.opcode = Opcode::kVerify;
+  verify.payload = archive;
+  const auto verdict = client.call(verify);
+  ASSERT_EQ(verdict.status, Status::kOk);
+  const std::string json(verdict.payload.begin(), verdict.payload.end());
+  EXPECT_NE(json.find("\"format\":\"lzbc\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"verdicts\":\"....\""), std::string::npos) << json;  // 4 blocks
+  EXPECT_EQ(verdict.adler, checksum::adler32(data));
+
+  const auto packed = client.call(blocked_request(3, data));
+  ASSERT_EQ(packed.status, Status::kOk);
+  const logger::ArchiveReader reader(packed.payload);
+  const auto slice = reader.read(70'000, 50'000);
+  ASSERT_EQ(slice.size(), 50'000u);
+  EXPECT_TRUE(std::equal(slice.begin(), slice.end(), data.begin() + 70'000));
 }
 
 TEST(ServerContainer, RawFlagOnBlockedCompressAnswersBadRequest) {

@@ -47,6 +47,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/byte_order.hpp"
 #include "common/checksum.hpp"
 #include "container/codec.hpp"
 #include "deflate/inflate.hpp"
@@ -170,16 +171,11 @@ int main(int argc, char** argv) {
       req.payload = read_file(file);
     } else if (op == "log-read") {
       req.opcode = server::Opcode::kLogRead;
-      const std::uint64_t seq = static_cast<std::uint64_t>(std::atoll(file.c_str()));
-      for (int s = 0; s < 8; ++s)
-        req.payload.push_back(static_cast<std::uint8_t>(seq >> (8 * s)));
+      put_le64(req.payload, static_cast<std::uint64_t>(std::atoll(file.c_str())));
     } else if (op == "scrub") {
       req.opcode = server::Opcode::kScrub;
-      if (!file.empty()) {
-        const std::uint64_t id = static_cast<std::uint64_t>(std::atoll(file.c_str()));
-        for (int s = 0; s < 8; ++s)
-          req.payload.push_back(static_cast<std::uint8_t>(id >> (8 * s)));
-      }
+      if (!file.empty())
+        put_le64(req.payload, static_cast<std::uint64_t>(std::atoll(file.c_str())));
     } else if (op == "verify") {
       req.opcode = server::Opcode::kVerify;
       req.payload = read_file(file);
@@ -191,10 +187,8 @@ int main(int argc, char** argv) {
       first = static_cast<std::uint64_t>(std::atoll(file.substr(0, colon).c_str()));
       if (colon != std::string::npos)
         count = static_cast<std::uint64_t>(std::atoll(file.c_str() + colon + 1));
-      for (int s = 0; s < 8; ++s)
-        req.payload.push_back(static_cast<std::uint8_t>(first >> (8 * s)));
-      for (int s = 0; s < 8; ++s)
-        req.payload.push_back(static_cast<std::uint8_t>(count >> (8 * s)));
+      put_le64(req.payload, first);
+      put_le64(req.payload, count);
     } else if (op == "ping") {
       req.opcode = server::Opcode::kPing;
     } else if (op == "stats") {
@@ -282,8 +276,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "log-append: malformed ack\n");
         return 1;
       }
-      std::uint64_t seq = 0;
-      for (int s = 7; s >= 0; --s) seq = (seq << 8) | resp.payload[static_cast<std::size_t>(s)];
+      const std::uint64_t seq = get_le64(resp.payload.data());
       std::printf("seq %llu (%zu bytes durable)\n", static_cast<unsigned long long>(seq),
                   req.payload.size());
       return 0;

@@ -4,19 +4,20 @@
 //     -d             decompress (container auto-detected: zlib/gzip/archive)
 //     -l <1..9>      compression level (default 1, the hardware's setting)
 //     -f zlib|gzip|archive   container format (default zlib); "archive" is
-//                    the seekable block-indexed LZSA format
-//     -b <kb>        archive block size in KiB (default 256)
+//                    the seekable LZBC block container that lzssd's
+//                    DECOMPRESS and VERIFY also accept (docs/CONTAINER.md)
+//     -b <kb>        archive block size in KiB (default 256, at most 65536)
 //     -w <9..15>     window bits for the software path (default 15)
 //     -y fixed|dyn   Huffman table kind (default dyn for sw, fixed for --hw)
 //     --hw           compress with the cycle-accurate hardware model
 //                    (4 KB window, fixed Huffman) and report cycle stats
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/checksum.hpp"
+#include "container/format.hpp"
 #include "deflate/container.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
@@ -43,7 +44,9 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& data) 
 int usage() {
   std::fprintf(stderr,
                "usage: lzsszip [-d] [-l level] [-f zlib|gzip|archive] [-b kb] [-w bits] "
-               "[-y fixed|dyn] [--hw] <input> <output>\n");
+               "[-y fixed|dyn] [--hw] <input> <output>\n"
+               "  -f archive writes a seekable LZBC block container; -b sets its block\n"
+               "  size in KiB (default 256, at most 65536)\n");
   return 2;
 }
 
@@ -101,11 +104,9 @@ int main(int argc, char** argv) {
     if (decompress) {
       // Auto-detect the container by magic.
       const bool is_gzip = input.size() >= 2 && input[0] == 0x1F && input[1] == 0x8B;
-      const bool is_archive =
-          input.size() >= 4 && std::memcmp(input.data() + input.size() - 4, "LZSA", 4) == 0;
       std::vector<std::uint8_t> out;
       const char* kind;
-      if (is_archive) {
+      if (container::looks_like_container(input)) {
         logger::ArchiveReader reader(input);
         out = reader.read(0, static_cast<std::size_t>(reader.uncompressed_size()));
         kind = "archive";
