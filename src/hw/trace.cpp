@@ -9,6 +9,12 @@ namespace lzss::hw {
 CompressResult trace_compression(const HwConfig& config, std::span<const std::uint8_t> data,
                                  std::ostream& vcd_out, TraceOptions options) {
   Compressor comp(config);
+  return trace_compression(comp, data, vcd_out, options);
+}
+
+CompressResult trace_compression(Compressor& comp, std::span<const std::uint8_t> data,
+                                 std::ostream& vcd_out, TraceOptions options) {
+  comp.reset();
   comp.set_input(data);
 
   vcd::VcdWriter w(vcd_out, "lzss_compressor");
@@ -22,7 +28,7 @@ CompressResult trace_compression(const HwConfig& config, std::span<const std::ui
   w.begin_dump();
 
   const std::uint64_t guard =
-      static_cast<std::uint64_t>(data.size()) * (config.max_chain + 8) * 8 + 1'000'000;
+      static_cast<std::uint64_t>(data.size()) * (comp.config().max_chain + 8) * 8 + 1'000'000;
   while (!comp.done()) {
     comp.step();
     if (options.max_trace_cycles == 0 || w.cycles() < options.max_trace_cycles) {

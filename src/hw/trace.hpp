@@ -24,4 +24,9 @@ struct TraceOptions {
 CompressResult trace_compression(const HwConfig& config, std::span<const std::uint8_t> data,
                                  std::ostream& vcd_out, TraceOptions options = {});
 
+/// The same on a caller-owned @p comp (reset first), whose memories' port
+/// counters then describe the traced run.
+CompressResult trace_compression(Compressor& comp, std::span<const std::uint8_t> data,
+                                 std::ostream& vcd_out, TraceOptions options = {});
+
 }  // namespace lzss::hw

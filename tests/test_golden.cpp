@@ -8,10 +8,12 @@
 // a workload), regenerate the constants and say so in the commit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -19,6 +21,8 @@
 #include "deflate/container.hpp"
 #include "deflate/encoder.hpp"
 #include "hw/compressor.hpp"
+#include "hw/pipeline.hpp"
+#include "hw_model_matrix.hpp"
 #include "logger/archive.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "lzss/simd_compare.hpp"
@@ -86,6 +90,190 @@ INSTANTIATE_TEST_SUITE_P(Snapshots, GoldenVectors, ::testing::ValuesIn(kGolden),
                          [](const ::testing::TestParamInfo<Golden>& info) {
                            return std::string(info.param.corpus);
                          });
+
+
+// The cycle model's full observable state after 64 KiB of each corpus (seed
+// 1) under every configuration of hw_model_matrix.hpp: the token stream (as
+// the CRC-32 of its 16-bit-distance raw packing), every CycleStats field and
+// the reads / writes / busy_cycles of both ports of all five memories. The
+// model may get faster; none of these may move.
+struct HwModelGolden {
+  const char* config;
+  const char* corpus;
+  std::uint32_t token_crc;
+  hw::testutil::Census census;
+  hw::testutil::PortCensus ports;
+};
+
+const HwModelGolden kHwModelGolden[] = {
+    {"default", "wiki", 0xFF549984,
+     {12217, 65, 78884, 19689, 17245, 1024, 129124, 65536, 7473, 12216, 58063, 30453, 145666, 1, 0,
+      7472},
+     {59195, 0, 59195, 0, 30931, 30931, 59195, 0, 59195, 0, 30931, 30931, 29460, 0, 29460, 0, 0, 0,
+      0, 36932, 36932, 0, 0, 0, 30453, 0, 30453, 0, 36932, 36932}},
+    {"default", "x2e", 0x59A8460F,
+     {7785, 65, 88887, 28768, 9221, 1024, 135750, 65536, 20987, 7781, 44549, 39294, 115788, 1, 0,
+      20983},
+     {60119, 0, 60119, 0, 39159, 39159, 60119, 0, 60119, 0, 39159, 39159, 17004, 0, 17004, 0, 0, 0,
+      0, 37987, 37987, 0, 0, 0, 39294, 0, 39294, 0, 37987, 37987}},
+    {"default", "mixed", 0x6D970F7B,
+     {243, 67, 43355, 33106, 2, 1024, 77797, 65536, 32864, 242, 32672, 2090, 34783, 1, 0, 32863},
+     {10249, 0, 10249, 0, 39232, 39232, 10249, 0, 10249, 0, 39232, 39232, 245, 0, 245, 0, 0, 0, 0,
+      33108, 33108, 0, 0, 0, 2090, 0, 2090, 0, 33108, 33108}},
+    {"level9", "wiki", 0x11B74D65,
+     {11302, 65, 164643, 16778, 48751, 1024, 242563, 65536, 5477, 11301, 60059, 76236, 363073, 1,
+      0, 5476},
+     {147865, 0, 147865, 0, 28768, 28768, 147865, 0, 147865, 0, 28768, 28768, 60051, 0, 60051, 0,
+      0, 0, 0, 65527, 65527, 0, 0, 0, 76236, 0, 76236, 0, 65527, 65527}},
+    {"level9", "x2e", 0xC7839B1F,
+     {7555, 65, 428567, 27583, 37953, 1024, 502747, 65536, 20032, 7551, 45504, 194683, 965192, 1,
+      0, 20028},
+     {400984, 0, 400984, 0, 38779, 38779, 400984, 0, 400984, 0, 38779, 38779, 45506, 0, 45506, 0,
+      0, 0, 0, 65534, 65534, 0, 0, 0, 194683, 0, 194683, 0, 65534, 65534}},
+    {"level9", "mixed", 0x3DB76522,
+     {243, 65, 86562, 33106, 32275, 1024, 153275, 65536, 32864, 242, 32672, 6857, 193118, 1, 0,
+      32863},
+     {53456, 0, 53456, 0, 41175, 41175, 53456, 0, 53456, 0, 41175, 41175, 32518, 0, 32518, 0, 0, 0,
+      0, 65381, 65381, 0, 0, 0, 6857, 0, 6857, 0, 65381, 65381}},
+    {"bus1-noprefetch", "wiki", 0xFF549984,
+     {19689, 65, 165355, 19689, 17245, 1024, 223067, 65536, 7473, 12216, 58063, 30453, 145666, 1,
+      0, 0},
+     {145666, 0, 145666, 0, 30940, 30940, 145666, 0, 145666, 0, 30940, 30940, 36932, 0, 36932, 0,
+      0, 0, 0, 36932, 36932, 0, 0, 0, 30453, 0, 30453, 0, 36932, 36932}},
+    {"bus1-noprefetch", "x2e", 0x59A8460F,
+     {28768, 65, 144556, 28768, 9221, 1024, 212402, 65536, 20987, 7781, 44549, 39294, 115788, 1, 0,
+      0},
+     {115788, 0, 115788, 0, 39165, 39165, 115788, 0, 115788, 0, 39165, 39165, 37987, 0, 37987, 0,
+      0, 0, 0, 37987, 37987, 0, 0, 0, 39294, 0, 39294, 0, 37987, 37987}},
+    {"bus1-noprefetch", "mixed", 0x6D970F7B,
+     {33106, 67, 67889, 33106, 2, 1024, 135194, 65536, 32864, 242, 32672, 2090, 34783, 1, 0, 0},
+     {34783, 0, 34783, 0, 40053, 40053, 34783, 0, 34783, 0, 40053, 40053, 33108, 0, 33108, 0, 0, 0,
+      0, 33108, 33108, 0, 0, 0, 2090, 0, 2090, 0, 33108, 33108}},
+    {"gen0", "wiki", 0x6B9B7848,
+     {12217, 65, 88966, 19685, 17231, 20490, 158654, 65536, 7472, 12213, 58064, 40419, 156111, 15,
+      0, 7468},
+     {69281, 0, 69281, 0, 30949, 30949, 69281, 0, 69281, 0, 30949, 30949, 29446, 0, 29446, 0, 0, 0,
+      0, 36914, 36914, 0, 0, 0, 40419, 0, 40419, 0, 36914, 36914}},
+    {"gen0", "x2e", 0x27612138,
+     {7790, 65, 99523, 28769, 9215, 20490, 165852, 65536, 20987, 7782, 44549, 49680, 126498, 15, 0,
+      20979},
+     {70754, 0, 70754, 0, 39310, 39310, 70754, 0, 70754, 0, 39310, 39310, 17003, 0, 17003, 0, 0, 0,
+      0, 37982, 37982, 0, 0, 0, 49680, 0, 49680, 0, 37982, 37982}},
+    {"gen0", "mixed", 0x6D970F7B,
+     {251, 67, 52217, 33106, 2, 20490, 106133, 65536, 32864, 242, 32672, 10944, 43670, 15, 0, 32855},
+     {19111, 0, 19111, 0, 39566, 39566, 19111, 0, 19111, 0, 39566, 39566, 253, 0, 253, 0, 0, 0, 0,
+      33108, 33108, 0, 0, 0, 10944, 0, 10944, 0, 33108, 33108}},
+    {"gen1", "wiki", 0x1E3ACF54,
+     {12217, 65, 78856, 19686, 17230, 18915, 146969, 65536, 7473, 12213, 58063, 30436, 145618, 15,
+      0, 7469},
+     {59170, 0, 59170, 0, 30928, 30928, 59170, 0, 59170, 0, 30928, 30928, 29445, 0, 29445, 0, 0, 0,
+      0, 36914, 36914, 0, 0, 0, 30436, 0, 30436, 0, 36914, 36914}},
+    {"gen1", "x2e", 0x27612138,
+     {7790, 65, 88882, 28769, 9215, 18915, 153636, 65536, 20987, 7782, 44549, 39291, 115770, 15, 0,
+      20979},
+     {60113, 0, 60113, 0, 39161, 39161, 60113, 0, 60113, 0, 39161, 39161, 17003, 0, 17003, 0, 0, 0,
+      0, 37982, 37982, 0, 0, 0, 39291, 0, 39291, 0, 37982, 37982}},
+    {"gen1", "mixed", 0x6D970F7B,
+     {251, 67, 43354, 33106, 2, 18915, 95695, 65536, 32864, 242, 32672, 2089, 34782, 15, 0, 32855},
+     {10248, 0, 10248, 0, 39335, 39335, 10248, 0, 10248, 0, 39335, 39335, 253, 0, 253, 0, 0, 0, 0,
+      33108, 33108, 0, 0, 0, 2089, 0, 2089, 0, 33108, 33108}},
+    {"dict10", "wiki", 0xFDBFB3A2,
+     {32131, 4167, 67397, 32214, 16862, 4684, 157455, 65536, 21980, 10234, 43556, 18405, 85165, 4,
+      0, 83},
+     {35183, 0, 35183, 0, 40534, 40534, 35183, 0, 35183, 0, 40534, 40534, 48991, 0, 48991, 0, 0, 0,
+      0, 49074, 49074, 0, 0, 0, 18405, 0, 18405, 0, 49074, 49074}},
+    {"dict10", "x2e", 0xA3179EC4,
+     {33140, 5160, 71626, 33249, 7006, 4684, 154865, 65536, 26943, 6306, 38593, 20644, 84991, 4, 0,
+      109},
+     {38377, 0, 38377, 0, 39496, 39496, 38377, 0, 38377, 0, 39496, 39496, 40144, 0, 40144, 0, 0, 0,
+      0, 40253, 40253, 0, 0, 0, 20644, 0, 20644, 0, 40253, 40253}},
+    {"dict10", "mixed", 0xF75287C3,
+     {33113, 8108, 41954, 33114, 0, 4684, 120973, 65536, 32877, 237, 32659, 685, 33348, 4, 0, 1},
+     {8840, 0, 8840, 0, 41221, 41221, 8840, 0, 8840, 0, 41221, 41221, 33113, 0, 33113, 0, 0, 0, 0,
+      33114, 33114, 0, 0, 0, 685, 0, 685, 0, 33114, 33114}},
+    {"split2", "wiki", 0xFF549984,
+     {12217, 65, 78884, 19689, 17245, 16384, 144484, 65536, 7473, 12216, 58063, 30453, 145666, 1,
+      0, 7472},
+     {59195, 0, 59195, 0, 30931, 30931, 59195, 0, 59195, 0, 30931, 30931, 29460, 0, 29460, 0, 0, 0,
+      0, 36932, 36932, 0, 0, 0, 30453, 0, 30453, 0, 36932, 36932}},
+    {"split2", "x2e", 0x59A8460F,
+     {7785, 65, 88887, 28768, 9221, 16384, 151110, 65536, 20987, 7781, 44549, 39294, 115788, 1, 0,
+      20983},
+     {60119, 0, 60119, 0, 39159, 39159, 60119, 0, 60119, 0, 39159, 39159, 17004, 0, 17004, 0, 0, 0,
+      0, 37987, 37987, 0, 0, 0, 39294, 0, 39294, 0, 37987, 37987}},
+    {"split2", "mixed", 0x6D970F7B,
+     {243, 67, 43355, 33106, 2, 16384, 93157, 65536, 32864, 242, 32672, 2090, 34783, 1, 0, 32863},
+     {10249, 0, 10249, 0, 39232, 39232, 10249, 0, 10249, 0, 39232, 39232, 245, 0, 245, 0, 0, 0, 0,
+      33108, 33108, 0, 0, 0, 2090, 0, 2090, 0, 33108, 33108}},
+    {"mulhash", "wiki", 0x1D30A2C3,
+     {12215, 65, 78528, 19663, 17228, 1024, 128723, 65536, 7449, 12214, 58087, 29979, 145865, 1, 0,
+      7448},
+     {58865, 0, 58865, 0, 30921, 30921, 58865, 0, 58865, 0, 30921, 30921, 29441, 0, 29441, 0, 0, 0,
+      0, 36889, 36889, 0, 0, 0, 29979, 0, 29979, 0, 36889, 36889}},
+    {"mulhash", "x2e", 0x6E18C1BC,
+     {7789, 65, 65644, 28735, 9235, 1024, 112492, 65536, 20950, 7785, 44586, 16018, 93011, 1, 0,
+      20946},
+     {36909, 0, 36909, 0, 38760, 38760, 36909, 0, 36909, 0, 38760, 38760, 17022, 0, 17022, 0, 0, 0,
+      0, 37968, 37968, 0, 0, 0, 16018, 0, 16018, 0, 37968, 37968}},
+    {"mulhash", "mixed", 0x6D970F7B,
+     {243, 67, 43295, 33106, 2, 1024, 77737, 65536, 32864, 242, 32672, 2034, 34705, 1, 0, 32863},
+     {10189, 0, 10189, 0, 39237, 39237, 10189, 0, 10189, 0, 39237, 39237, 245, 0, 245, 0, 0, 0, 0,
+      33108, 33108, 0, 0, 0, 2034, 0, 2034, 0, 33108, 33108}},
+    {"ratio", "wiki", 0x51910FA1,
+     {9100, 65, 903330, 10608, 54928, 0, 978031, 65536, 1509, 9099, 64027, 458123, 2199631, 0, 0,
+      1508},
+     {892722, 0, 892722, 0, 24249, 24249, 892722, 0, 892722, 0, 24249, 24249, 64026, 0, 64026, 0,
+      0, 0, 0, 65534, 65534, 0, 0, 0, 458123, 0, 458123, 0, 65534, 65534}},
+    {"ratio", "x2e", 0x49B4E549,
+     {9472, 65, 1633245, 23005, 42531, 0, 1708318, 65536, 13536, 9469, 52000, 966752, 3714997, 0,
+      0, 13533},
+     {1610240, 0, 1610240, 0, 33357, 33357, 1610240, 0, 1610240, 0, 33357, 33357, 52001, 0, 52001,
+      0, 0, 0, 0, 65534, 65534, 0, 0, 0, 966752, 0, 966752, 0, 65534, 65534}},
+    {"ratio", "mixed", 0xB0C8F13F,
+     {294, 65, 424650, 33022, 32358, 0, 490389, 65536, 32728, 294, 32808, 54156, 1403119, 0, 0,
+      32728},
+     {391628, 0, 391628, 0, 41107, 41107, 391628, 0, 391628, 0, 41107, 41107, 32652, 0, 32652, 0,
+      0, 0, 0, 65380, 65380, 0, 0, 0, 54156, 0, 54156, 0, 65380, 65380}},
+};
+
+void expect_census(const hw::testutil::Census& got, const hw::testutil::Census& want) {
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], want[i]) << hw::testutil::kCensusFields[i];
+}
+
+TEST(HwModelGolden, CoversEveryConfigurationAndCorpus) {
+  EXPECT_EQ(std::size(kHwModelGolden), hw::testutil::config_matrix().size() * 3);
+}
+
+TEST(HwModelGolden, TokensCensusAndPortsAreFrozen) {
+  const auto configs = hw::testutil::config_matrix();
+  for (const HwModelGolden& g : kHwModelGolden) {
+    SCOPED_TRACE(std::string(g.config) + " " + g.corpus);
+    const auto it = std::find_if(configs.begin(), configs.end(), [&](const auto& c) {
+      return std::string_view(c.name) == g.config;
+    });
+    ASSERT_NE(it, configs.end());
+    hw::Compressor comp(it->config);
+    const auto res = comp.compress(wl::make_corpus(g.corpus, 64 * 1024));
+    EXPECT_EQ(checksum::crc32(core::pack_raw_tokens(res.tokens, 16)), g.token_crc);
+    expect_census(hw::testutil::census(res.stats), g.census);
+    const auto ports = hw::testutil::port_census(comp);
+    for (std::size_t i = 0; i < ports.size(); ++i)
+      EXPECT_EQ(ports[i], g.ports[i]) << hw::testutil::port_field_name(i);
+  }
+}
+
+// The DMA-fed system steps the same model under input stalls and Huffman
+// backpressure: wiki, 64 KiB, seed 1, default service configuration.
+TEST(HwModelGolden, DmaFedSystemIsFrozen) {
+  const auto report =
+      hw::run_system(server::ServiceConfig{}.hw, wl::make_corpus("wiki", 64 * 1024));
+  expect_census(hw::testutil::census(report.compressor),
+                {12217, 65, 78884, 21576, 17245, 1024, 131011, 65536, 7473, 12216, 58063, 30453,
+                 145666, 1, 1887, 7472});
+  EXPECT_EQ(report.total_cycles, 133012u);
+  EXPECT_EQ(report.huffman_stall_cycles, 1895u);
+}
 
 
 // The software encoder's token stream and operation census (the inputs of

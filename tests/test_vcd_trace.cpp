@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/vcd.hpp"
+#include "hw_model_matrix.hpp"
 #include "lzss/decoder.hpp"
 #include "workloads/corpus.hpp"
 
@@ -87,14 +88,28 @@ TEST(VcdWriter, TimeAdvancesPerTick) {
 // --- trace_compression ------------------------------------------------------
 
 TEST(TraceCompression, ProducesResultIdenticalToPlainRun) {
+  // Tracing steps the model one clock at a time and samples it between
+  // cycles; compress() runs the same clock unobserved. Every token, every
+  // census field and every port counter must agree.
   const auto data = wl::make_corpus("wiki", 16 * 1024);
-  std::ostringstream os;
-  const auto traced = hw::trace_compression(hw::HwConfig::speed_optimized(), data, os);
-  hw::Compressor comp(hw::HwConfig::speed_optimized());
-  const auto plain = comp.compress(data);
-  EXPECT_EQ(traced.tokens, plain.tokens);
-  EXPECT_EQ(traced.stats.total_cycles, plain.stats.total_cycles);
-  EXPECT_TRUE(core::tokens_reproduce(traced.tokens, data));
+  for (const auto& [name, config] : hw::testutil::config_matrix()) {
+    SCOPED_TRACE(name);
+    std::ostringstream os;
+    hw::Compressor traced_comp(config);
+    const auto traced = hw::trace_compression(traced_comp, data, os);
+    hw::Compressor plain_comp(config);
+    const auto plain = plain_comp.compress(data);
+    EXPECT_EQ(traced.tokens, plain.tokens);
+    const auto traced_census = hw::testutil::census(traced.stats);
+    const auto plain_census = hw::testutil::census(plain.stats);
+    for (std::size_t i = 0; i < traced_census.size(); ++i)
+      EXPECT_EQ(traced_census[i], plain_census[i]) << hw::testutil::kCensusFields[i];
+    const auto traced_ports = hw::testutil::port_census(traced_comp);
+    const auto plain_ports = hw::testutil::port_census(plain_comp);
+    for (std::size_t i = 0; i < traced_ports.size(); ++i)
+      EXPECT_EQ(traced_ports[i], plain_ports[i]) << hw::testutil::port_field_name(i);
+    EXPECT_TRUE(core::tokens_reproduce(traced.tokens, data));
+  }
 }
 
 TEST(TraceCompression, WaveformContainsAllSignals) {
