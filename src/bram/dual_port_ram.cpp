@@ -1,5 +1,7 @@
 #include "bram/dual_port_ram.hpp"
 
+#include <algorithm>
+
 namespace lzss::bram {
 
 DualPortRam::DualPortRam(std::string name, std::size_t depth, unsigned width_bits)
@@ -12,51 +14,13 @@ DualPortRam::DualPortRam(std::string name, std::size_t depth, unsigned width_bit
     throw std::invalid_argument("DualPortRam " + name_ + ": width must be 1..32 bits");
 }
 
-void DualPortRam::use_port(Port port, bool is_write, std::size_t addr) {
-  const auto idx = static_cast<std::size_t>(port);
-  if (port_used_[idx]) {
-    throw PortConflictError("DualPortRam " + name_ + ": port " + (idx == 0 ? "A" : "B") +
-                            " used twice in one cycle");
-  }
-  if (addr >= data_.size()) {
-    throw std::out_of_range("DualPortRam " + name_ + ": address out of range");
-  }
-  port_used_[idx] = true;
-  auto& st = stats_[idx];
-  (is_write ? st.writes : st.reads) += 1;
-  st.busy_cycles += 1;
+void DualPortRam::fail_conflict(std::size_t port_index) const {
+  throw PortConflictError("DualPortRam " + name_ + ": port " + (port_index == 0 ? "A" : "B") +
+                          " used twice in one cycle");
 }
 
-std::uint32_t DualPortRam::read(Port port, std::size_t addr) {
-  use_port(port, /*is_write=*/false, addr);
-  return data_[addr];
-}
-
-void DualPortRam::write(Port port, std::size_t addr, std::uint32_t value) {
-  use_port(port, /*is_write=*/true, addr);
-  data_[addr] = value & mask_;
-}
-
-std::uint32_t DualPortRam::exchange(Port port, std::size_t addr, std::uint32_t value) {
-  use_port(port, /*is_write=*/true, addr);
-  const std::uint32_t old = data_[addr];
-  data_[addr] = value & mask_;
-  return old;
-}
-
-void DualPortRam::tick() noexcept {
-  port_used_[0] = false;
-  port_used_[1] = false;
-}
-
-std::uint32_t DualPortRam::peek(std::size_t addr) const {
-  if (addr >= data_.size()) throw std::out_of_range("DualPortRam " + name_ + ": peek OOR");
-  return data_[addr];
-}
-
-void DualPortRam::poke(std::size_t addr, std::uint32_t value) {
-  if (addr >= data_.size()) throw std::out_of_range("DualPortRam " + name_ + ": poke OOR");
-  data_[addr] = value & mask_;
+void DualPortRam::fail_range(const char* what) const {
+  throw std::out_of_range("DualPortRam " + name_ + ": " + what);
 }
 
 void DualPortRam::reset() {
