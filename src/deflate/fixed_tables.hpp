@@ -35,12 +35,14 @@ struct DistanceCode {
 /// Maps a match length (3..258) to its RFC 1951 code.
 [[nodiscard]] LengthCode length_code(std::uint32_t length) noexcept;
 
-/// Maps a distance (1..32768) to its RFC 1951 code.
+/// Maps a distance (1..32768) to its RFC 1951 code. Distances 32769..65535
+/// (a 64 KiB dictionary's reach) map to symbol 29 with an extra value too
+/// wide for its 13 bits: fit for sizing a token, not for writing it.
 [[nodiscard]] DistanceCode distance_code(std::uint32_t distance) noexcept;
 
 /// distance_code() for the block writers: throws std::invalid_argument on a
-/// distance past kMaxDistance (a 64 KiB dictionary reaches 65535), which
-/// distance_code() only asserts and would otherwise code as garbage.
+/// distance past kMaxDistance, which distance_code() would code as an
+/// unwritable symbol 29.
 [[nodiscard]] DistanceCode checked_distance_code(std::uint32_t distance);
 
 /// Base length for length symbol 257+i and its extra-bit count.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace lzss::deflate {
 namespace {
 
@@ -87,6 +89,18 @@ TEST(DistanceCode, EveryDistanceReconstructs) {
     EXPECT_EQ(distance_base(dc.symbol) + dc.extra_value, d);
     EXPECT_EQ(distance_extra_bits(dc.symbol), dc.extra_bits);
   }
+}
+
+TEST(DistanceCode, BeyondDeflateReachIsSymbol29) {
+  // A 64 KiB dictionary's tokens reach 65535; the estimators size them with
+  // distance_code(), which must stay in its tables and keep them on code 29.
+  for (const std::uint32_t d : {32769u, 40000u, 49152u, 65535u}) {
+    const auto dc = distance_code(d);
+    EXPECT_EQ(dc.symbol, 29u) << "dist " << d;
+    EXPECT_EQ(dc.extra_bits, 13u) << "dist " << d;
+    EXPECT_EQ(dc.extra_value, d - 24577u) << "dist " << d;
+  }
+  EXPECT_THROW((void)checked_distance_code(32769), std::invalid_argument);
 }
 
 TEST(FixedLitLen, PrefixFreeProperty) {
